@@ -14,7 +14,6 @@ the test suite.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -581,17 +580,3 @@ def params_from_dict(doc: dict) -> AutoencoderParams:
         hidden_dims=tuple(doc["hidden_dims"]),
         train_config=cfg,
     )
-
-
-def save_model(params: AutoencoderParams, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(params_to_dict(params), fh)
-
-
-def load_model(path) -> AutoencoderParams:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: corrupt model file: {exc}") from None
-    return params_from_dict(doc)

@@ -1,9 +1,8 @@
 """Command line interface: synth | train | evaluate | compare.
 
-Exit codes: 0 success, 1 config error, 2 data error, 3 numerical failure.
-All settings come from one JSON config file; --seed overrides the file's
-seed. RSS_ATLAS_THREADS caps evaluation parallelism without changing any
-output byte.
+Exit codes: 0 success, 1 config error, 2 data error, 3 numerical failure;
+every failure prints one line to stderr. All settings come from one JSON
+config file; --seed overrides the file's seed.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ correlated shadowing, sampled along a configurable trajectory.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -262,8 +263,11 @@ def load_csv(path, floor_dbm: float = DEFAULT_FLOOR_DBM) -> SurveyDataset:
     Missing readings are filled with floor_dbm. Parse failures name the
     offending 1-based line number.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read survey CSV: {exc}") from None
     if not lines:
         raise DataError(f"{path}: empty file")
     header = [c.strip() for c in lines[0].split(",")]
@@ -312,14 +316,34 @@ def load_csv(path, floor_dbm: float = DEFAULT_FLOOR_DBM) -> SurveyDataset:
     )
 
 
+def atomic_write_text(path, text: str) -> None:
+    """Write via a per-process temp file in the same directory, then rename.
+
+    A failed write removes the temp file, so the target is left either as
+    it was or with the complete new text.
+    """
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise DataError(f"output directory does not exist: {directory}")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_csv(ds: SurveyDataset, path) -> None:
     """Write the CSV schema read by load_csv. repr floats round-trip exactly."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,y," + ",".join(ds.ap_ids) + "\n")
-        for i in range(ds.n):
-            cells = [repr(float(ds.X[i, 0])), repr(float(ds.X[i, 1]))]
-            cells += [repr(float(v)) for v in ds.Z[i]]
-            fh.write(",".join(cells) + "\n")
+    lines = ["x,y," + ",".join(ds.ap_ids)]
+    for i in range(ds.n):
+        cells = [repr(float(ds.X[i, 0])), repr(float(ds.X[i, 1]))]
+        cells += [repr(float(v)) for v in ds.Z[i]]
+        lines.append(",".join(cells))
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def normalize(ds: SurveyDataset) -> tuple[SurveyDataset, NormalizationStats]:

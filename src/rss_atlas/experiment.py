@@ -21,6 +21,7 @@ from . import dataset as ds_mod
 from . import gp_map
 from . import localization as loc
 from . import pca as pca_mod
+from .dataset import atomic_write_text
 from .errors import ConfigError, DataError
 from .localization import (
     AutoencoderCompressor,
@@ -37,17 +38,6 @@ PIPELINE_FORMAT_VERSION = 1
 _SPLIT_SEED_OFFSET = 1
 _SPARSE_AE_SEED_OFFSET = 2
 _DISTANCE_AE_SEED_OFFSET = 3
-
-
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(directory):
-        raise DataError(f"output directory does not exist: {directory}")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def default_gp_grid() -> list[gp_map.GpHyperparams]:
@@ -399,13 +389,15 @@ def _norm_stats_from_doc(doc: dict) -> ds_mod.NormalizationStats:
     )
 
 
-def _save_csv_atomic(ds: ds_mod.SurveyDataset, path: str) -> None:
-    lines = ["x,y," + ",".join(ds.ap_ids)]
-    for i in range(ds.n):
-        cells = [repr(float(ds.X[i, 0])), repr(float(ds.X[i, 1]))]
-        cells += [repr(float(v)) for v in ds.Z[i]]
-        lines.append(",".join(cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def _load_artifact(path: str, parse):
+    """Parse a JSON artifact written by train; a bad file is a DataError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except (DataError, ConfigError) as exc:
+        raise DataError(f"{path}: {exc}") from None
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"{path}: corrupt or unreadable artifact: {exc!r}") from None
 
 
 def run_synth(cfg: ExperimentConfig, out_path: str) -> None:
@@ -413,7 +405,7 @@ def run_synth(cfg: ExperimentConfig, out_path: str) -> None:
     if cfg.synth is None:
         raise ConfigError("synth command needs a dataset.synth section")
     ds = ds_mod.synthesize(cfg.synth, cfg.seed)
-    _save_csv_atomic(ds, out_path)
+    ds_mod.save_csv(ds, out_path)
 
 
 def run_train(cfg: ExperimentConfig) -> list[str]:
@@ -424,8 +416,8 @@ def run_train(cfg: ExperimentConfig) -> list[str]:
 
     full = obtain_dataset(cfg)
     train_raw, test_raw = ds_mod.split(full, cfg.test_fraction, cfg.seed + _SPLIT_SEED_OFFSET, cfg.split_mode)
-    _save_csv_atomic(train_raw, os.path.join(outdir, "train.csv"))
-    _save_csv_atomic(test_raw, os.path.join(outdir, "test.csv"))
+    ds_mod.save_csv(train_raw, os.path.join(outdir, "train.csv"))
+    ds_mod.save_csv(test_raw, os.path.join(outdir, "test.csv"))
     manifest.artifact("train.csv")
     manifest.artifact("test.csv")
 
@@ -480,8 +472,7 @@ def run_evaluate(cfg: ExperimentConfig) -> list[loc.EvalResult]:
 
     train_raw = ds_mod.load_csv(os.path.join(outdir, "train.csv"))
     test_raw = ds_mod.load_csv(os.path.join(outdir, "test.csv"))
-    with open(os.path.join(outdir, "norm_stats.json"), "r", encoding="utf-8") as fh:
-        stats = _norm_stats_from_doc(json.load(fh))
+    stats = _load_artifact(os.path.join(outdir, "norm_stats.json"), _norm_stats_from_doc)
     test_norm = ds_mod.apply_normalization(test_raw, stats)
 
     pipelines = []
@@ -490,8 +481,7 @@ def run_evaluate(cfg: ExperimentConfig) -> list[loc.EvalResult]:
         path = os.path.join(outdir, f"pipeline_{label}.json")
         if not os.path.exists(path):
             raise DataError(f"missing model file {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            pipelines.append(pipeline_from_dict(json.load(fh)))
+        pipelines.append(_load_artifact(path, pipeline_from_dict))
     manifest.stage("load")
 
     ev = cfg.evaluation

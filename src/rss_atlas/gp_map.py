@@ -8,7 +8,6 @@ the inverse is never formed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -17,7 +16,7 @@ from scipy.linalg import solve_triangular
 
 from .errors import ConfigError, DataError, GpFitError
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 _JITTER_SCALE = 1e-8
 _VARIANCE_FLOOR = 1e-12
 
@@ -179,17 +178,6 @@ def select_hyperparams(
     return best
 
 
-def save_model(model: GpModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh)
-
-
-def load_model(path) -> GpModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return model_from_dict(doc)
-
-
 def model_to_dict(model: GpModel) -> dict:
     return {
         "format_version": MODEL_FORMAT_VERSION,
@@ -200,19 +188,26 @@ def model_to_dict(model: GpModel) -> dict:
         },
         "X_train": model.X_train.tolist(),
         "W": model.W.tolist(),
-        "chol_factor": model.chol_factor.tolist(),
     }
 
 
 def model_from_dict(doc: dict) -> GpModel:
+    """Rebuild a map from model_to_dict output.
+
+    The Cholesky factor is not stored: it is recomputed from the training
+    locations and hyperparameters with the same call fit makes, so the
+    rebuilt factor equals the fitted one.
+    """
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise DataError(
             f"unsupported GP model format_version {doc.get('format_version')!r}"
+            f" (expected {MODEL_FORMAT_VERSION}; rerun train to rewrite the file)"
         )
     hp = GpHyperparams(**doc["hyperparams"])
+    X = np.array(doc["X_train"], dtype=float)
     return GpModel(
-        X_train=np.array(doc["X_train"], dtype=float),
+        X_train=X,
         hyperparams=hp,
-        chol_factor=np.array(doc["chol_factor"], dtype=float),
+        chol_factor=_cholesky_with_jitter(gram_matrix(X, hp), hp),
         W=np.array(doc["W"], dtype=float),
     )

@@ -10,8 +10,6 @@ are computed in log space and normalized with log-sum-exp.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,8 +17,8 @@ import numpy as np
 from . import autoencoder as ae
 from . import gp_map
 from . import pca as pca_mod
-from .dataset import SurveyDataset
-from .errors import ConfigError, DataError, LikelihoodUnderflowError
+from .dataset import SurveyDataset, atomic_write_text
+from .errors import ConfigError, DataError, LikelihoodUnderflowError, RssAtlasError
 
 LOG_2PI = math.log(2.0 * math.pi)
 _Q_FLOOR = 1e-300
@@ -189,31 +187,12 @@ class Pipeline:
         return (self.compressor.encode(Z) - self.latent_mean) / self.latent_std
 
 
-def resolve_threads(n_threads: int | None = None) -> int:
-    """Explicit argument, else the RSS_ATLAS_THREADS cap, else 1."""
-    if n_threads is not None:
-        if n_threads < 1:
-            raise ConfigError("thread count must be >= 1")
-        return n_threads
-    env = os.environ.get("RSS_ATLAS_THREADS")
-    if env is None:
-        return 1
-    try:
-        val = int(env)
-    except ValueError:
-        raise ConfigError(f"RSS_ATLAS_THREADS must be an integer, got {env!r}") from None
-    if val < 1:
-        raise ConfigError("RSS_ATLAS_THREADS must be >= 1")
-    return val
-
-
 class FieldBuilder:
     """Precomputed per-cell GP predictions for one pipeline on one grid.
 
     The predictions depend only on the grid and the pipeline, so building
     fields for many measurements reuses them. The precompute runs over
-    fixed-size cell blocks to bound memory; block size never depends on
-    thread settings, so values are identical under any parallelism.
+    fixed-size cell blocks to bound memory.
     """
 
     _BLOCK = 16384
@@ -306,58 +285,44 @@ def evaluate(
     grid: Grid,
     sigma: float,
     kl_direction: str = "ideal-to-estimated",
-    n_threads: int | None = None,
 ) -> list[EvalResult]:
     """Score every pipeline on every test measurement.
 
     For each test row: build the likelihood field, compare it to the
     ideal posterior at the true location, and record the distance from
-    the field's argmax cell to the truth. Test points may be processed
-    in parallel; per-point values do not depend on the partitioning.
+    the field's argmax cell to the truth. A package error while scoring
+    a row is re-raised as the same class, its message prefixed with the
+    row index.
     """
     if not test_set.normalized:
         raise DataError("test set must be normalized with the training statistics")
     if kl_direction not in ("ideal-to-estimated", "estimated-to-ideal"):
         raise ConfigError(f"unknown kl_direction {kl_direction!r}")
-    workers = resolve_threads(n_threads)
 
     results = []
     for pipeline in pipelines:
         builder = FieldBuilder(pipeline, grid)
-
-        def score(i: int) -> tuple[float, float]:
+        kl_values, errors = [], []
+        for i in range(test_set.n):
             try:
                 fld = builder.field_for(test_set.Z[i])
                 ideal = ideal_posterior(grid, test_set.X[i], sigma)
-                if kl_direction == "ideal-to-estimated":
-                    kl = kl_divergence(ideal, fld)
-                else:
-                    kl = kl_divergence(fld, ideal)
-                ax, ay = fld.argmax_center()
-                err = math.hypot(ax - test_set.X[i, 0], ay - test_set.X[i, 1])
-                return kl, err
-            except Exception as exc:
-                raise RuntimeError(f"test point {i}: {exc}") from exc
-
-        if workers == 1:
-            scored = [score(i) for i in range(test_set.n)]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                scored = list(pool.map(score, range(test_set.n)))
-        kl_values = np.array([s[0] for s in scored])
-        errors = np.array([s[1] for s in scored])
-        results.append(EvalResult(label=pipeline.label, kl_values=kl_values, argmax_errors_m=errors))
+            except RssAtlasError as exc:
+                raise type(exc)(f"test point {i}: {exc}") from exc
+            if kl_direction == "ideal-to-estimated":
+                kl_values.append(kl_divergence(ideal, fld))
+            else:
+                kl_values.append(kl_divergence(fld, ideal))
+            ax, ay = fld.argmax_center()
+            errors.append(math.hypot(ax - test_set.X[i, 0], ay - test_set.X[i, 1]))
+        results.append(
+            EvalResult(
+                label=pipeline.label,
+                kl_values=np.array(kl_values),
+                argmax_errors_m=np.array(errors),
+            )
+        )
     return results
-
-
-def save_field_csv(fld: LikelihoodField, path) -> None:
-    """Rows of (cell center x, y, mass) in the grid's flat order."""
-    centers = fld.grid.cell_centers()
-    flat = fld.mass.ravel()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,y,mass\n")
-        for (x, y), v in zip(centers, flat):
-            fh.write(f"{float(x)!r},{float(y)!r},{float(v)!r}\n")
 
 
 def save_field_pgm(fld: LikelihoodField, path) -> None:
@@ -372,17 +337,16 @@ def save_field_pgm(fld: LikelihoodField, path) -> None:
     lines = [f"P2\n{fld.grid.width} {fld.grid.height}\n65535\n"]
     for iy in range(fld.grid.height - 1, -1, -1):
         lines.append(" ".join(str(int(v)) for v in scaled[:, iy]) + "\n")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(lines)
+    atomic_write_text(path, "".join(lines))
 
 
 def save_eval_csv(result: EvalResult, test_set: SurveyDataset, path) -> None:
     """One row per test point plus a trailing summary row."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("index,x,y,kl,argmax_error_m\n")
-        for i in range(test_set.n):
-            fh.write(
-                f"{i},{float(test_set.X[i, 0])!r},{float(test_set.X[i, 1])!r},"
-                f"{float(result.kl_values[i])!r},{float(result.argmax_errors_m[i])!r}\n"
-            )
-        fh.write(f"mean,,,{result.mean_kl!r},{result.mean_argmax_error_m!r}\n")
+    lines = ["index,x,y,kl,argmax_error_m\n"]
+    for i in range(test_set.n):
+        lines.append(
+            f"{i},{float(test_set.X[i, 0])!r},{float(test_set.X[i, 1])!r},"
+            f"{float(result.kl_values[i])!r},{float(result.argmax_errors_m[i])!r}\n"
+        )
+    lines.append(f"mean,,,{result.mean_kl!r},{result.mean_argmax_error_m!r}\n")
+    atomic_write_text(path, "".join(lines))

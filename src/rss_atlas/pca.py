@@ -1,14 +1,12 @@
 """Principal component analysis baseline compressor.
 
-The symmetric eigenproblem is solved with an in-repo cyclic Jacobi sweep
-rather than a LAPACK call, so fitted models are bit-reproducible across
-BLAS builds. Component signs follow a fixed convention: the entry of
-largest magnitude in each component is made positive.
+The symmetric eigenproblem of the sample covariance is solved with
+LAPACK (numpy.linalg.eigh). Component signs follow a fixed convention:
+the entry of largest magnitude in each component is made positive.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,65 +33,6 @@ class PcaModel:
         return self.components.shape[1]
 
 
-def jacobi_eigh(A: np.ndarray, tol: float = 1e-14, max_sweeps: int = 100):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues, eigenvectors) with eigenvalues ascending, like
-    the LAPACK convention. Deterministic: fixed sweep order, no pivoting
-    on magnitude.
-    """
-    A = np.array(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DataError(f"matrix must be square, got {A.shape}")
-    if not np.allclose(A, A.T, atol=1e-12 * max(1.0, float(np.abs(A).max()))):
-        raise DataError("matrix is not symmetric")
-    n = A.shape[0]
-    V = np.eye(n)
-    if n == 1:
-        return A.diagonal().copy(), V
-
-    frob = float(np.sqrt(np.sum(A * A)))
-    if frob == 0.0:
-        return np.zeros(n), V
-    threshold = tol * frob
-
-    for _ in range(max_sweeps):
-        off = float(np.sqrt(np.sum(np.tril(A, -1) ** 2) * 2.0))
-        if off <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= threshold / (n * n):
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # Rotate rows/columns p and q of A and columns of V.
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * col_q
-                A[:, q] = s * col_p + c * col_q
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * row_q
-                A[q, :] = s * row_p + c * row_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-
-    w = A.diagonal().copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], V[:, order]
-
-
 def fit(Z: np.ndarray, c: int) -> PcaModel:
     """Fit on the sample covariance (1/(n-1)) of the centered data."""
     Z = np.asarray(Z, dtype=float)
@@ -107,7 +46,7 @@ def fit(Z: np.ndarray, c: int) -> PcaModel:
     mean = Z.mean(axis=0)
     centered = Z - mean
     cov = (centered.T @ centered) / (n - 1)
-    w, V = jacobi_eigh(cov)
+    w, V = np.linalg.eigh(cov)
     order = np.argsort(-w, kind="stable")[:c]
     comps = V[:, order]
     vals = w[order]
@@ -150,13 +89,3 @@ def model_from_dict(doc: dict) -> PcaModel:
         components=np.array(doc["components"], dtype=float),
         eigenvalues=np.array(doc["eigenvalues"], dtype=float),
     )
-
-
-def save_model(model: PcaModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh)
-
-
-def load_model(path) -> PcaModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))

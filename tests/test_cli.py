@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -191,3 +192,77 @@ def test_config_validation_errors(tmp_path):
     doc["dataset"] = {}
     cfg = write_config(tmp_path, doc)
     assert cli.main(["train", "--config", cfg]) == 1
+
+
+def identity_config(out_dir):
+    doc = tiny_config(out_dir)
+    doc["compressors"] = [{"kind": "identity"}]
+    return doc
+
+
+@pytest.fixture(scope="module")
+def trained_identity(tmp_path_factory):
+    root = tmp_path_factory.mktemp("trained")
+    cfg = write_config(root, identity_config(root / "out"))
+    assert cli.main(["train", "--config", cfg]) == 0
+    return root / "out"
+
+
+def _bad_config(doc, out):
+    doc["dataset"] = {}
+    return "train"
+
+
+def _missing_csv(doc, out):
+    doc["dataset"] = {"csv": str(out / "no_such_survey.csv")}
+    return "train"
+
+
+def _corrupt_pipeline_json(doc, out):
+    (out / "pipeline_input.json").write_text('{"format_version": 1, "gp": ')
+    return "evaluate"
+
+
+def _v1_pipeline(doc, out):
+    path = out / "pipeline_input.json"
+    pipe = json.loads(path.read_text())
+    pipe["gp"]["format_version"] = 1
+    path.write_text(json.dumps(pipe))
+    return "evaluate"
+
+
+def _underflowing_test_row(doc, out):
+    path = out / "test.csv"
+    lines = path.read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[2] = "-1e300"
+    lines[1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    return "evaluate"
+
+
+FAILURES = {
+    "bad_config": (_bad_config, 1, "config error"),
+    "missing_csv": (_missing_csv, 2, "no_such_survey.csv"),
+    "corrupt_pipeline_json": (_corrupt_pipeline_json, 2, "pipeline_input.json"),
+    "v1_pipeline": (_v1_pipeline, 2, "format_version"),
+    "underflowing_test_row": (_underflowing_test_row, 3, "test point 0"),
+}
+
+
+@pytest.mark.parametrize("case", list(FAILURES))
+def test_failure_contract(case, tmp_path, trained_identity, capsys):
+    """Each failure class maps to its exit code with one stderr line and no partial file."""
+    setup, code, fragment = FAILURES[case]
+    out = tmp_path / "out"
+    shutil.copytree(trained_identity, out)
+    doc = identity_config(out)
+    command = setup(doc, out)
+    cfg = write_config(tmp_path, doc)
+    capsys.readouterr()
+    assert cli.main([command, "--config", cfg]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert fragment in err
+    assert not list(out.glob("*.tmp"))

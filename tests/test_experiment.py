@@ -117,7 +117,15 @@ class TestAtomicWrite:
         ex.atomic_write_text(str(target), "one")
         ex.atomic_write_text(str(target), "two")
         assert target.read_text() == "two"
-        assert not (tmp_path / "f.txt.tmp").exists()
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_failed_write_keeps_old_file_and_no_temp(self, tmp_path):
+        target = tmp_path / "f.txt"
+        ex.atomic_write_text(str(target), "one")
+        with pytest.raises(UnicodeEncodeError):
+            ex.atomic_write_text(str(target), "lone surrogate \ud800")
+        assert target.read_text() == "one"
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestManifest:

@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from rss_atlas import gp_map
-from rss_atlas.errors import ConfigError
+from rss_atlas.errors import ConfigError, DataError
 from rss_atlas.gp_map import GpHyperparams
 
 
@@ -253,19 +254,24 @@ class TestSelectHyperparams:
 
 
 class TestSerialization:
-    def test_roundtrip(self, tmp_path, rng):
+    def test_roundtrip(self, rng):
         X = rng.uniform(0, 10, size=(6, 2))
         model = gp_map.fit(X, rng.normal(size=(6, 2)), HP)
-        p = tmp_path / "gp.json"
-        gp_map.save_model(model, p)
-        back = gp_map.load_model(p)
+        back = gp_map.model_from_dict(json.loads(json.dumps(gp_map.model_to_dict(model))))
         assert np.array_equal(back.X_train, model.X_train)
         assert np.array_equal(back.W, model.W)
         assert np.array_equal(back.chol_factor, model.chol_factor)
         assert back.hyperparams == model.hyperparams
 
-    def test_version_check(self, tmp_path):
-        p = tmp_path / "gp.json"
-        p.write_text('{"format_version": 99}')
+    def test_version_check(self):
         with pytest.raises(Exception, match="format_version"):
-            gp_map.load_model(p)
+            gp_map.model_from_dict({"format_version": 99})
+
+    def test_v1_document_rejected(self, rng):
+        X = rng.uniform(0, 10, size=(4, 2))
+        model = gp_map.fit(X, rng.normal(size=(4, 1)), HP)
+        doc = gp_map.model_to_dict(model)
+        doc["format_version"] = 1
+        doc["chol_factor"] = model.chol_factor.tolist()
+        with pytest.raises(DataError, match="format_version"):
+            gp_map.model_from_dict(doc)

@@ -222,16 +222,6 @@ class TestField:
         with pytest.raises(DataError):
             loc.LikelihoodField(grid, np.full((4,), 0.25))
 
-    def test_csv_export(self, tmp_path):
-        grid = loc.Grid(0.0, 0.0, 1.0, 2, 2)
-        fld = loc.LikelihoodField(grid, np.full((2, 2), 0.25))
-        p = tmp_path / "field.csv"
-        loc.save_field_csv(fld, p)
-        lines = p.read_text().splitlines()
-        assert lines[0] == "x,y,mass"
-        assert len(lines) == 5
-        assert lines[1] == "0.5,0.5,0.25"
-
     def test_pgm_export(self, tmp_path):
         grid = loc.Grid(0.0, 0.0, 1.0, 3, 2)
         mass = np.array([[0.1, 0.2], [0.05, 0.4], [0.05, 0.2]])
@@ -286,13 +276,6 @@ class TestEvaluate:
         assert np.array_equal(results[0].kl_values, results[1].kl_values)
         assert np.array_equal(results[0].argmax_errors_m, results[1].argmax_errors_m)
 
-    def test_thread_count_does_not_change_values(self, eval_setup):
-        pipe, test_norm, grid = eval_setup
-        a = loc.evaluate([pipe], test_norm, grid, sigma=10.0, n_threads=1)
-        b = loc.evaluate([pipe], test_norm, grid, sigma=10.0, n_threads=4)
-        assert np.array_equal(a[0].kl_values, b[0].kl_values)
-        assert np.array_equal(a[0].argmax_errors_m, b[0].argmax_errors_m)
-
     def test_requires_normalized_test_set(self, eval_setup):
         pipe, _, grid = eval_setup
         raw = dsm.synthesize(
@@ -309,22 +292,3 @@ class TestEvaluate:
         pipe, test_norm, grid = eval_setup
         r = loc.evaluate([pipe], test_norm, grid, sigma=10.0)[0]
         assert r.mean_kl == pytest.approx(float(np.mean(r.kl_values)), abs=1e-12)
-
-
-class TestResolveThreads:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("RSS_ATLAS_THREADS", "8")
-        assert loc.resolve_threads(2) == 2
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("RSS_ATLAS_THREADS", "3")
-        assert loc.resolve_threads() == 3
-
-    def test_default_single(self, monkeypatch):
-        monkeypatch.delenv("RSS_ATLAS_THREADS", raising=False)
-        assert loc.resolve_threads() == 1
-
-    def test_bad_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("RSS_ATLAS_THREADS", "many")
-        with pytest.raises(ConfigError):
-            loc.resolve_threads()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -128,45 +130,14 @@ class TestTransform:
             pca.inverse_transform(model, np.zeros((3, 3)))
 
 
-class TestJacobi:
-    def test_matches_lapack(self, rng):
-        for n in (2, 5, 9):
-            B = rng.normal(size=(n, n))
-            A = B + B.T
-            w, V = pca.jacobi_eigh(A)
-            w_ref = np.linalg.eigvalsh(A)
-            np.testing.assert_allclose(w, w_ref, rtol=1e-10, atol=1e-10)
-            np.testing.assert_allclose(V @ np.diag(w) @ V.T, A, atol=1e-10)
-
-    def test_identity(self):
-        w, V = pca.jacobi_eigh(np.eye(4))
-        np.testing.assert_allclose(w, 1.0)
-        np.testing.assert_allclose(V @ V.T, np.eye(4), atol=1e-14)
-
-    def test_rejects_asymmetric(self, rng):
-        with pytest.raises(DataError):
-            pca.jacobi_eigh(rng.normal(size=(3, 3)))
-
-    def test_deterministic(self, rng):
-        B = rng.normal(size=(6, 6))
-        A = B + B.T
-        w1, V1 = pca.jacobi_eigh(A)
-        w2, V2 = pca.jacobi_eigh(A)
-        assert np.array_equal(w1, w2) and np.array_equal(V1, V2)
-
-
 class TestSerialization:
-    def test_roundtrip(self, tmp_path, rng):
+    def test_roundtrip(self, rng):
         model = pca.fit(rng.normal(size=(20, 5)), 3)
-        p = tmp_path / "pca.json"
-        pca.save_model(model, p)
-        back = pca.load_model(p)
+        back = pca.model_from_dict(json.loads(json.dumps(pca.model_to_dict(model))))
         assert np.array_equal(back.mean, model.mean)
         assert np.array_equal(back.components, model.components)
         assert np.array_equal(back.eigenvalues, model.eigenvalues)
 
-    def test_version_check(self, tmp_path):
-        p = tmp_path / "pca.json"
-        p.write_text('{"format_version": 7}')
+    def test_version_check(self):
         with pytest.raises(DataError, match="format_version"):
-            pca.load_model(p)
+            pca.model_from_dict({"format_version": 7})
