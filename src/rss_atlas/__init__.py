@@ -7,7 +7,9 @@ maps in the input or latent space, and scores the resulting likelihood
 fields against an ideal posterior with KL divergence.
 """
 
-from . import autoencoder, cli, dataset, experiment, gp_map, localization, pca
+# cli is not imported here: `python -m rss_atlas.cli` would then find it
+# already in sys.modules and runpy warns. `from rss_atlas import cli` loads it.
+from . import autoencoder, dataset, experiment, gp_map, localization, pca
 from .errors import (
     ConfigError,
     DataError,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -266,9 +266,58 @@ def sparsity_loss(latent: np.ndarray, lambda_r: float) -> float:
     return float(lambda_r * np.sum(np.abs(latent)))
 
 
+# Entries of the (rows x n x m) difference block _pairwise_sq_dists holds at a
+# time: 2 MiB of doubles, so a minibatch (64 x 64 x 10 latent) is one block.
+_BLOCK_ELEMS = 1 << 18
+
+
 def _pairwise_sq_dists(P: np.ndarray) -> np.ndarray:
-    d = P[:, None, :] - P[None, :, :]
-    return np.sum(d * d, axis=2)
+    """Squared Euclidean distances between all row pairs of P (n x n).
+
+    Rows are taken in blocks so the difference temporary holds at most
+    _BLOCK_ELEMS entries (one row's n x m if that is more). Each entry is
+    np.sum((P[i] - P[j])**2) over the coordinate axis whatever the block
+    size, so the distance between two rows has the same bits in a
+    minibatch as in the full n x n matrix.
+    """
+    n, m = P.shape
+    rows = max(1, _BLOCK_ELEMS // max(1, n * m))
+    D = np.empty((n, n))
+    for a in range(0, n, rows):
+        d = P[a:a + rows, None, :] - P[None, :, :]
+        d *= d
+        np.sum(d, axis=2, out=D[a:a + rows])
+    return D
+
+
+def _distance_loss_from(Dz: np.ndarray, Dl: np.ndarray, lambda_d: float, mode: str) -> float:
+    """Isometry penalty from input (Dz) and latent (Dl) squared distances."""
+    if mode == "squared":
+        diff = Dz - Dl
+    elif mode == "absolute":
+        diff = np.sqrt(Dz) - np.sqrt(Dl)
+    else:
+        raise ConfigError(f"unknown distance mode {mode!r}")
+    return float(lambda_d * np.sum(diff * diff))
+
+
+def _distance_grad_from(
+    Dz: np.ndarray, Dl: np.ndarray, latent: np.ndarray, lambda_d: float, mode: str
+) -> np.ndarray:
+    """d _distance_loss_from / d latent, given the distances it was computed from.
+
+    For the squared mode each unordered pair appears twice in the ordered
+    sum, which doubles the textbook single-count gradient:
+    g_k = 8 * lambda_d * sum_j (|l_k-l_j|^2 - |z_k-z_j|^2) (l_k - l_j).
+    """
+    if mode == "squared":
+        coef = Dl - Dz  # symmetric
+        return 8.0 * lambda_d * (coef.sum(axis=1)[:, None] * latent - coef @ latent)
+    dz = np.sqrt(Dz)
+    dl = np.sqrt(Dl)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = np.where(dl > 0.0, (dl - dz) / dl, 0.0)
+    return 4.0 * lambda_d * (coef.sum(axis=1)[:, None] * latent - coef @ latent)
 
 
 def distance_loss(
@@ -281,15 +330,9 @@ def distance_loss(
     """
     if z.shape[0] != latent.shape[0]:
         raise DataError("z and latent must have equal batch sizes")
-    Dz = _pairwise_sq_dists(z)
-    Dl = _pairwise_sq_dists(latent)
-    if mode == "squared":
-        diff = Dz - Dl
-    elif mode == "absolute":
-        diff = np.sqrt(Dz) - np.sqrt(Dl)
-    else:
-        raise ConfigError(f"unknown distance mode {mode!r}")
-    return float(lambda_d * np.sum(diff * diff))
+    return _distance_loss_from(
+        _pairwise_sq_dists(z), _pairwise_sq_dists(latent), lambda_d, mode
+    )
 
 
 def total_loss(z, latent, z_hat, config: TrainConfig) -> float:
@@ -301,26 +344,12 @@ def total_loss(z, latent, z_hat, config: TrainConfig) -> float:
 
 
 def _distance_loss_grad(z, latent, lambda_d, mode) -> np.ndarray:
-    """d distance_loss / d latent.
-
-    For the squared mode each unordered pair appears twice in the ordered
-    sum, which doubles the textbook single-count gradient:
-    g_k = 8 * lambda_d * sum_j (|l_k-l_j|^2 - |z_k-z_j|^2) (l_k - l_j).
-    """
+    """d distance_loss / d latent (see _distance_grad_from)."""
     if lambda_d == 0.0:
         return np.zeros_like(latent)
-    Dz = _pairwise_sq_dists(z)
-    Dl = _pairwise_sq_dists(latent)
-    if mode == "squared":
-        coef = Dl - Dz  # symmetric
-        g = 8.0 * lambda_d * (coef.sum(axis=1)[:, None] * latent - coef @ latent)
-    else:
-        dz = np.sqrt(Dz)
-        dl = np.sqrt(Dl)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            coef = np.where(dl > 0.0, (dl - dz) / dl, 0.0)
-        g = 4.0 * lambda_d * (coef.sum(axis=1)[:, None] * latent - coef @ latent)
-    return g
+    return _distance_grad_from(
+        _pairwise_sq_dists(z), _pairwise_sq_dists(latent), latent, lambda_d, mode
+    )
 
 
 def _half_backward(hidden: LayerParams, head: LayerParams, cache, g_out):
@@ -364,16 +393,20 @@ def _half_backward(hidden: LayerParams, head: LayerParams, cache, g_out):
 
 
 def _backward_from_cache(
-    params: AutoencoderParams, batch: np.ndarray, config: TrainConfig, cache
+    params: AutoencoderParams, batch: np.ndarray, config: TrainConfig, cache,
+    g_dist: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
+    """Backprop the reconstruction and sparsity terms of config.
+
+    g_dist is the distance penalty's gradient with respect to the latent
+    (see _distance_grad_from); None adds no distance term.
+    """
     latent, recon = cache["latent"], cache["recon"]
     g_recon = 2.0 * (recon - batch)
     g_latent_dec, dec_grads = _half_backward(params.dec_hidden, params.dec_out, cache["dec"], g_recon)
-    g_latent = (
-        g_latent_dec
-        + config.lambda_r * np.sign(latent)
-        + _distance_loss_grad(batch, latent, config.lambda_d, config.distance_mode)
-    )
+    g_latent = g_latent_dec + config.lambda_r * np.sign(latent)
+    if g_dist is not None:
+        g_latent = g_latent + g_dist
     _, enc_grads = _half_backward(params.enc_hidden, params.enc_out, cache["enc"], g_latent)
     return {
         "enc_hidden.weights": enc_grads["weights"],
@@ -407,13 +440,42 @@ def gradients(
     """
     batch = np.asarray(batch, dtype=float)
     dropout = config.dropout_rate if mode == "training" else 0.0
-    _, _, cache = forward(params, batch, mode=mode, seed=seed, dropout_rate=dropout)
-    return _backward_from_cache(params, batch, config, cache)
+    latent, _, cache = forward(params, batch, mode=mode, seed=seed, dropout_rate=dropout)
+    g_dist = _distance_loss_grad(batch, latent, config.lambda_d, config.distance_mode)
+    return _backward_from_cache(params, batch, config, cache, g_dist)
 
 
 def _update_running_stats(layer: LayerParams, cache, momentum: float) -> None:
     layer.bn_running_mean = momentum * layer.bn_running_mean + (1.0 - momentum) * cache["batch_mean"]
     layer.bn_running_var = momentum * layer.bn_running_var + (1.0 - momentum) * cache["batch_var"]
+
+
+def _training_step(
+    params: AutoencoderParams,
+    batch: np.ndarray,
+    Dz: np.ndarray | None,
+    lambda_d: float,
+    config: TrainConfig,
+    seed: int,
+) -> tuple[tuple[float, float, float], dict[str, np.ndarray], dict]:
+    """One training-mode forward and backward pass over a minibatch.
+
+    Dz holds the batch's input-space squared distances and lambda_d the
+    distance weight used for this batch; with Dz None the distance term is
+    skipped and reported as 0.0. The latent distances are computed once and
+    feed both the loss and its gradient. Returns the (recon, sparsity,
+    distance) losses, the gradients and the forward cache.
+    """
+    latent, recon, cache = forward(
+        params, batch, mode="training", seed=seed, dropout_rate=config.dropout_rate,
+    )
+    dist, g_dist = 0.0, None
+    if Dz is not None:
+        Dl = _pairwise_sq_dists(latent)
+        dist = _distance_loss_from(Dz, Dl, lambda_d, config.distance_mode)
+        g_dist = _distance_grad_from(Dz, Dl, latent, lambda_d, config.distance_mode)
+    losses = (reconstruction_loss(batch, recon), sparsity_loss(latent, config.lambda_r), dist)
+    return losses, _backward_from_cache(params, batch, config, cache, g_dist), cache
 
 
 def train(
@@ -426,6 +488,12 @@ def train(
     The distance weight is divided by the square of each minibatch's size
     so the pairwise sum does not grow with batch size. Passing the
     normalization stats adds a dBm-scale RMSE to the report.
+
+    Input rows do not change between epochs, so when lambda_d is nonzero
+    their n x n squared distances are computed once per call (8*n^2 bytes:
+    1.4 MB at 418 rows) and each step indexes its batch out of them. With
+    lambda_d 0 no distances are computed and every distance loss is 0.0;
+    a diverging latent still shows as a non-finite sparsity total.
     """
     if not ds.normalized:
         raise DataError("train expects a normalized dataset")
@@ -437,6 +505,7 @@ def train(
     params = init_params(ds.m, config)
     params.train_config = config
     report = TrainReport()
+    Dz = _pairwise_sq_dists(Z) if config.lambda_d != 0.0 else None
 
     rng = np.random.default_rng(config.seed)
     adam_m = {k: np.zeros_like(params.get_tensor(k)) for k in PARAM_KEYS}
@@ -451,20 +520,14 @@ def train(
             idx = perm[start:start + config.batch_size]
             if idx.size < 2:
                 continue  # batch norm is undefined on a single row
-            batch = Z[idx]
-            lam_d_eff = config.lambda_d / float(idx.size) ** 2
-            eff = replace(config, lambda_d=lam_d_eff)
             mask_seed = int(rng.integers(0, 2**63 - 1))
-
-            latent, recon, cache = forward(
-                params, batch, mode="training", seed=mask_seed,
-                dropout_rate=config.dropout_rate,
+            (recon, sparse, dist), grads, cache = _training_step(
+                params, Z[idx], None if Dz is None else Dz[np.ix_(idx, idx)],
+                config.lambda_d / float(idx.size) ** 2, config, mask_seed,
             )
-            ep_recon += reconstruction_loss(batch, recon)
-            ep_sparse += sparsity_loss(latent, config.lambda_r)
-            ep_dist += distance_loss(batch, latent, lam_d_eff, config.distance_mode)
-
-            grads = _backward_from_cache(params, batch, eff, cache)
+            ep_recon += recon
+            ep_sparse += sparse
+            ep_dist += dist
             _update_running_stats(params.enc_hidden, cache["enc"], config.bn_momentum)
             _update_running_stats(params.dec_hidden, cache["dec"], config.bn_momentum)
 

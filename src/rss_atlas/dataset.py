@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .gp_map import _sq_dists
 
 DEFAULT_FLOOR_DBM = -100.0
 
@@ -233,14 +234,13 @@ def synthesize(config: SynthEnvConfig, seed: int) -> SurveyDataset:
     X = trajectory_points(config.waypoints, config.sample_spacing_m)
     n = X.shape[0]
 
-    diff = X[:, None, :] - aps[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    dist = np.sqrt(_sq_dists(X, aps))
     Z = path_loss_dbm(config, dist)
 
     if config.shadowing_std_dbm > 0:
         # One Cholesky factor serves every AP: the correlation depends only
         # on sample locations, shadowing draws are independent per AP.
-        d2 = _pairwise_sq_dists(X)
+        d2 = _sq_dists(X, X)
         corr = np.exp(-d2 / config.shadowing_correlation_length_m**2)
         corr[np.diag_indices(n)] += 1e-10
         chol = np.linalg.cholesky(corr)
@@ -250,11 +250,6 @@ def synthesize(config: SynthEnvConfig, seed: int) -> SurveyDataset:
     Z = np.maximum(Z, config.floor_dbm)
     ids = tuple(f"ap{j:03d}" for j in range(config.n_aps))
     return SurveyDataset(X=X, Z=Z, ap_ids=ids)
-
-
-def _pairwise_sq_dists(P: np.ndarray) -> np.ndarray:
-    d = P[:, None, :] - P[None, :, :]
-    return np.sum(d * d, axis=2)
 
 
 def load_csv(path, floor_dbm: float = DEFAULT_FLOOR_DBM) -> SurveyDataset:
@@ -320,7 +315,9 @@ def atomic_write_text(path, text: str) -> None:
     """Write via a per-process temp file in the same directory, then rename.
 
     A failed write removes the temp file, so the target is left either as
-    it was or with the complete new text.
+    it was or with the complete new text. The temp file is fsync'd before
+    the rename and the directory after it, so after a power loss the
+    target holds the old or the new text, never an empty file.
     """
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
@@ -329,7 +326,14 @@ def atomic_write_text(path, text: str) -> None:
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
+        fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)

@@ -138,11 +138,17 @@ def _train_config_from_dict(doc: dict, default_seed: int) -> ae.TrainConfig:
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
+    """Parse and validate a config document; any malformed part is a ConfigError.
+
+    A field of the wrong JSON type surfaces from the parsing code as a
+    KeyError, TypeError, ValueError, AttributeError (a list where a section
+    dict belongs) or OverflowError (an infinite integer field).
+    """
     try:
         return _config_from_dict(doc)
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ConfigError(f"malformed config: {exc!r}") from None
 
 

@@ -66,15 +66,31 @@ def rbf_kernel(x_p, x_q, hp: GpHyperparams) -> float:
 
 
 def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # Differences, not the expanded |a|^2+|b|^2-2ab form: exact symmetry
-    # and no cancellation for nearby points.
-    d = A[:, None, :] - B[None, :, :]
-    return np.sum(d * d, axis=2)
+    """Squared distances between the rows of two 2-D location sets (n x k).
+
+    Differences, not the expanded |a|^2+|b|^2-2ab form: exact symmetry and
+    no cancellation for nearby points. Summed one axis at a time, in place,
+    so no n x k x 2 temporary is built; dx*dx + dy*dy rounds exactly as a
+    sum over the coordinate axis does.
+    """
+    D = A[:, 0, None] - B[None, :, 0]
+    D *= D
+    dy = A[:, 1, None] - B[None, :, 1]
+    dy *= dy
+    D += dy
+    return D
 
 
 def kernel_matrix(A: np.ndarray, B: np.ndarray, hp: GpHyperparams) -> np.ndarray:
-    """Cross-covariance matrix between two location sets (no noise term)."""
-    return hp.signal_variance * np.exp(-_sq_dists(A, B) / hp.length_scale**2)
+    """Cross-covariance matrix between two location sets (no noise term).
+
+    Built in place in the distance matrix; -d/l^2 rounds the same as d/(-l^2).
+    """
+    K = _sq_dists(A, B)
+    K /= -(hp.length_scale**2)
+    np.exp(K, out=K)
+    K *= hp.signal_variance
+    return K
 
 
 def gram_matrix(X: np.ndarray, hp: GpHyperparams) -> np.ndarray:

@@ -273,6 +273,42 @@ class TestGradients:
             assert float(np.abs(grads[key] - fd).max()) / denom < 1e-5
 
 
+class TestPrecomputedDistances:
+    def test_blocked_matrix_indexed_by_batch_equals_batch_distances(self, rng):
+        # 300 x 91 spans many row blocks; a 64-row batch is a single block.
+        Z = rng.normal(size=(300, 91))
+        Dz = ae._pairwise_sq_dists(Z)
+        d = Z[:, None, :] - Z[None, :, :]
+        assert np.array_equal(Dz, np.sum(d * d, axis=2))
+        for _ in range(5):
+            idx = rng.permutation(300)[:64]
+            assert np.array_equal(Dz[np.ix_(idx, idx)], ae._pairwise_sq_dists(Z[idx]))
+
+    @pytest.mark.parametrize("mode", ["squared", "absolute"])
+    def test_training_step_matches_gradients(self, rng, mode):
+        cfg = ae.TrainConfig(latent_dim=5, hidden_dim=12, distance_mode=mode, seed=2)
+        params = toy_params(rng, input_dim=20, cfg=cfg)
+        Z = rng.normal(size=(100, 20))
+        Dz = ae._pairwise_sq_dists(Z)
+        idx = rng.permutation(100)[:32]
+        lam = cfg.lambda_d / 32.0**2
+        (recon, sparse, dist), grads, _ = ae._training_step(
+            params, Z[idx], Dz[np.ix_(idx, idx)], lam, cfg, seed=7
+        )
+        want = ae.gradients(params, Z[idx], replace(cfg, lambda_d=lam), seed=7, mode="training")
+        for key in params.tensor_keys():
+            assert np.array_equal(grads[key], want[key]), key
+        latent, _, _ = ae.forward(params, Z[idx], "training", seed=7, dropout_rate=cfg.dropout_rate)
+        assert dist == ae.distance_loss(Z[idx], latent, lam, mode)
+
+    def test_zero_distance_weight_reports_zero_distance_loss(self, small_survey_normalized):
+        norm, _ = small_survey_normalized
+        cfg = ae.TrainConfig(latent_dim=4, hidden_dim=8, epochs=5, batch_size=32, lambda_d=0.0)
+        _, report = ae.train(norm, cfg)
+        assert len(report.distance_losses) == 5
+        assert all(v == 0.0 for v in report.distance_losses)
+
+
 class TestTrain:
     def test_zero_epochs_returns_init(self, small_survey_normalized):
         norm, _ = small_survey_normalized

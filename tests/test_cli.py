@@ -1,6 +1,8 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -266,3 +268,17 @@ def test_failure_contract(case, tmp_path, trained_identity, capsys):
     assert "Traceback" not in err
     assert fragment in err
     assert not list(out.glob("*.tmp"))
+
+
+def test_module_entry_point_prints_no_warning():
+    """`python -m rss_atlas.cli` runs without runpy's double-import warning."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "rss_atlas.cli", "--help"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "compare" in proc.stdout

@@ -72,6 +72,49 @@ class TestLoadCsv:
         assert np.all(ds.Z.min(axis=0) >= -100.0)
 
 
+# Cells a survey CSV may hold, well formed or not.
+_CELLS = st.sampled_from(
+    ["x", "y", "ap1", "ap2", "", " ", "-50", "-1e300", "0", "1", "nan", "inf", "-inf",
+     "1e999", "abc", "-7.5", "-60", "-80.25", "1_0", "\u0661", "x,y"]
+)
+
+
+@st.composite
+def _csv_text(draw):
+    """Mostly a valid header and rows of the right width, with any cells."""
+    m = draw(st.integers(1, 3))
+    row = st.lists(_CELLS, min_size=m + 2, max_size=m + 2) | st.lists(_CELLS, max_size=6)
+    header = ["x", "y"] + [f"ap{j}" for j in range(m)]
+    if draw(st.integers(0, 3)) == 0:
+        header = draw(row)
+    rows = draw(st.lists(row, max_size=5))
+    return "\n".join(",".join(cells) for cells in [header] + rows)
+
+
+class TestLoadCsvFuzz:
+    """Any file gives a dataset or a DataError, never another exception."""
+
+    @given(st.one_of(st.text(st.characters(blacklist_categories=("Cs",))), _csv_text()))
+    @settings(max_examples=300, deadline=None)
+    def test_text(self, tmp_path_factory, text):
+        p = tmp_path_factory.getbasetemp() / "fuzz_survey.csv"
+        p.write_text(text, encoding="utf-8")
+        try:
+            dsm.load_csv(p)
+        except DataError:
+            pass
+
+    @given(st.binary(max_size=64))
+    @settings(max_examples=100, deadline=None)
+    def test_bytes(self, tmp_path_factory, data):
+        p = tmp_path_factory.getbasetemp() / "fuzz_survey.csv"
+        p.write_bytes(data)
+        try:
+            dsm.load_csv(p)
+        except DataError:
+            pass
+
+
 class TestSynthesize:
     def test_rss_at_reference_distance_is_tx_power(self):
         area = (50.0, 50.0)

@@ -1,12 +1,16 @@
 import json
+import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rss_atlas import autoencoder as ae
 from rss_atlas import experiment as ex
 from rss_atlas import gp_map, localization as loc, pca
-from rss_atlas.errors import ConfigError, DataError
+from rss_atlas.errors import ConfigError, DataError, RssAtlasError
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +132,21 @@ class TestAtomicWrite:
         assert not list(tmp_path.glob("*.tmp"))
 
 
+    def test_fsyncs_file_before_rename_and_directory_after(self, tmp_path, monkeypatch):
+        target = tmp_path / "f.txt"
+        target.write_text("old")
+        seen = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            seen.append(target.read_text())
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        ex.atomic_write_text(str(target), "new")
+        assert seen == ["old", "new"]
+
+
 class TestManifest:
     def test_contents(self, tmp_path):
         cfg = ex.config_from_dict(
@@ -148,6 +167,50 @@ class TestManifest:
         a = ex.config_hash(ex.config_from_dict(doc))
         b = ex.config_hash(ex.config_from_dict(json.loads(json.dumps(doc))))
         assert a == b
+
+
+# Leaves a config field may hold: right and wrong types, edge numbers.
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**6, 10**6),
+    st.floats(-1e4, 1e4), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.text(max_size=8), st.sampled_from(["random", "block", "identity", "pca", "distance_ae"]),
+)
+_JSONISH = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _schema_doc():
+    """Dicts shaped like an experiment config whose values are arbitrary."""
+    def fields(names):
+        return st.dictionaries(st.sampled_from(names), _JSONISH, max_size=len(names))
+
+    synth = fields(["area", "n_aps", "floor_dbm", "waypoints", "sample_spacing_m",
+                    "path_loss_exponent", "shadowing_correlation_length_m", "extra"])
+    compressor = fields(["kind", "latent_dim", "label", "train"]) | _JSONISH
+    return st.fixed_dictionaries(
+        {"seed": st.integers(0, 100) | _JSONISH, "output_dir": st.just("out") | _JSONISH},
+        optional={
+            "dataset": st.fixed_dictionaries({}, optional={"synth": synth, "csv": _JSONISH}) | _JSONISH,
+            "split": fields(["test_fraction", "mode"]) | _JSONISH,
+            "evaluation": fields(["cell_size", "sigma_m", "margin_cells", "raster_indices"]) | _JSONISH,
+            "gp_grid": fields(["length_scales", "signal_variances", "noise_variances"]) | _JSONISH,
+            "ae_train": fields(["latent_dim", "epochs", "lambda_d", "distance_mode"]) | _JSONISH,
+            "compressors": st.lists(compressor, max_size=3) | _JSONISH,
+        },
+    )
+
+
+class TestConfigFuzz:
+    @given(st.one_of(_schema_doc(), _JSONISH))
+    @settings(max_examples=300, deadline=None)
+    def test_value_or_package_error(self, doc):
+        try:
+            ex.config_from_dict(doc)
+        except RssAtlasError:
+            pass
 
 
 class TestBuildPipeline:

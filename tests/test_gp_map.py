@@ -52,6 +52,33 @@ class TestRbfKernel:
             GpHyperparams(signal_variance=1.0, length_scale=-1.0)
 
 
+def broadcast_sq_dists(A, B):
+    """Reference: the coordinate-axis sum over an n x k x 2 difference array."""
+    d = A[:, None, :] - B[None, :, :]
+    return np.sum(d * d, axis=2)
+
+
+class TestSqDists:
+    @pytest.mark.parametrize("case", ["random", "large_coordinates", "duplicates"])
+    def test_per_axis_equals_broadcast_sum(self, rng, case):
+        if case == "random":
+            A, B = rng.uniform(0, 100, (200, 2)), rng.uniform(0, 100, (137, 2))
+        elif case == "large_coordinates":
+            A = 1e9 + rng.uniform(-1e7, 1e7, (120, 2))
+            B = 1e9 + rng.uniform(-1e7, 1e7, (90, 2))
+        else:
+            A = np.repeat(rng.normal(size=(15, 2)), 4, axis=0)
+            B = np.repeat(rng.normal(size=(8, 2)), 3, axis=0)
+        assert np.array_equal(gp_map._sq_dists(A, B), broadcast_sq_dists(A, B))
+        assert np.array_equal(gp_map._sq_dists(A, A), broadcast_sq_dists(A, A))
+
+    def test_kernel_matrix_equals_expression(self, rng):
+        A, B = rng.uniform(0, 60, (80, 2)), rng.uniform(0, 60, (50, 2))
+        hp = GpHyperparams(signal_variance=0.7, length_scale=5.0, noise_variance=0.05)
+        want = hp.signal_variance * np.exp(-broadcast_sq_dists(A, B) / hp.length_scale**2)
+        assert np.array_equal(gp_map.kernel_matrix(A, B, hp), want)
+
+
 class TestGramMatrix:
     def test_single_point(self):
         hp = GpHyperparams(signal_variance=2.0, length_scale=1.0, noise_variance=0.5)
