@@ -15,7 +15,6 @@ the test suite.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,14 +48,6 @@ class LayerParams:
     def has_batchnorm(self) -> bool:
         return self.bn_gamma is not None
 
-    def copy(self) -> "LayerParams":
-        cp = lambda a: None if a is None else a.copy()
-        return LayerParams(
-            weights=self.weights.copy(), biases=self.biases.copy(),
-            bn_gamma=cp(self.bn_gamma), bn_beta=cp(self.bn_beta),
-            bn_running_mean=cp(self.bn_running_mean), bn_running_var=cp(self.bn_running_var),
-        )
-
 
 @dataclass
 class AutoencoderParams:
@@ -89,14 +80,6 @@ class AutoencoderParams:
         for got, want in chain:
             if got != want:
                 raise ConfigError(f"inconsistent layer shape {got}, expected {want}")
-
-    def copy(self) -> "AutoencoderParams":
-        return AutoencoderParams(
-            enc_hidden=self.enc_hidden.copy(), enc_out=self.enc_out.copy(),
-            dec_hidden=self.dec_hidden.copy(), dec_out=self.dec_out.copy(),
-            input_dim=self.input_dim, latent_dim=self.latent_dim,
-            hidden_dims=self.hidden_dims, train_config=self.train_config,
-        )
 
     def get_tensor(self, key: str) -> np.ndarray:
         layer_name, attr = key.split(".")
@@ -162,7 +145,6 @@ class TrainReport:
     distance_losses: list[float] = field(default_factory=list)
     final_rmse: float = float("nan")
     final_rmse_dbm: float | None = None
-    wall_seconds: float = 0.0
 
 
 def init_params(input_dim: int, config: TrainConfig) -> AutoencoderParams:
@@ -500,7 +482,6 @@ def train(
     if ds.n < config.batch_size:
         raise DataError(f"n={ds.n} is smaller than batch_size={config.batch_size}")
 
-    t0 = time.perf_counter()
     Z = ds.Z
     params = init_params(ds.m, config)
     params.train_config = config
@@ -555,7 +536,6 @@ def train(
     report.final_rmse = reconstruction_rmse(params, Z)
     if stats is not None:
         report.final_rmse_dbm = reconstruction_rmse(params, Z, stats)
-    report.wall_seconds = time.perf_counter() - t0
     return params, report
 
 

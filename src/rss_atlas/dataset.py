@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,12 @@ from .errors import ConfigError, DataError
 from .gp_map import _sq_dists
 
 DEFAULT_FLOOR_DBM = -100.0
+# Thermal noise in 1 Hz at 290 K: no receiver reports a weaker signal.
+MIN_RSS_DBM = -174.0
+
+# ASCII decimal numbers, which covers repr() of every finite float; [0-9]
+# because \d also matches non-ASCII digits in a str pattern.
+_NUMBER = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 def _frozen_array(a, dtype=float) -> np.ndarray:
@@ -148,6 +155,8 @@ class SynthEnvConfig:
             raise ConfigError("shadowing_correlation_length_m must be positive")
         if self.floor_dbm >= self.tx_power_dbm:
             raise ConfigError("floor_dbm must be below tx_power_dbm")
+        if not self.floor_dbm >= MIN_RSS_DBM:
+            raise ConfigError(f"floor_dbm must be at least {MIN_RSS_DBM:g} dBm")
         if len(self.waypoints) < 1:
             raise ConfigError("trajectory needs at least one waypoint")
         if self.sample_spacing_m <= 0:
@@ -255,8 +264,11 @@ def synthesize(config: SynthEnvConfig, seed: int) -> SurveyDataset:
 def load_csv(path, floor_dbm: float = DEFAULT_FLOOR_DBM) -> SurveyDataset:
     """Read a survey CSV: header ``x,y,<ap ids>``, empty cell = not heard.
 
-    Missing readings are filled with floor_dbm. Parse failures name the
-    offending 1-based line number.
+    Missing readings are filled with floor_dbm. Every other cell must be
+    an ASCII decimal number (sign, digits, optional fraction and exponent;
+    no `_`, `nan`, `inf` or non-ASCII digits), and an RSS reading must lie
+    in [MIN_RSS_DBM, 0] dBm. Parse failures name the offending 1-based
+    line number.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -282,26 +294,28 @@ def load_csv(path, floor_dbm: float = DEFAULT_FLOOR_DBM) -> SurveyDataset:
             raise DataError(
                 f"{path}: line {lineno}: expected {ncols} columns, found {len(cells)}"
             )
-        try:
-            x, y = float(cells[0]), float(cells[1])
-        except ValueError:
-            raise DataError(f"{path}: line {lineno}: non-numeric coordinate") from None
+        cells = [c.strip() for c in cells]
+        if not (_NUMBER.fullmatch(cells[0]) and _NUMBER.fullmatch(cells[1])):
+            raise DataError(f"{path}: line {lineno}: non-numeric coordinate")
+        x, y = float(cells[0]), float(cells[1])
         z = np.empty(len(ids))
         for j, cell in enumerate(cells[2:]):
-            cell = cell.strip()
             if cell == "":
                 z[j] = floor_dbm
-                continue
-            try:
+            elif _NUMBER.fullmatch(cell):
                 z[j] = float(cell)
-            except ValueError:
+            else:
                 raise DataError(
                     f"{path}: line {lineno}: non-numeric RSS cell {header[2 + j]!r}"
-                ) from None
+                )
         if not (math.isfinite(x) and math.isfinite(y)) or not np.all(np.isfinite(z)):
             raise DataError(f"{path}: line {lineno}: non-finite value")
         if np.any(z > 0):
             raise DataError(f"{path}: line {lineno}: RSS above 0 dBm is not physical")
+        if np.any(z < MIN_RSS_DBM):
+            raise DataError(
+                f"{path}: line {lineno}: RSS below {MIN_RSS_DBM:g} dBm is not physical"
+            )
         rows_x.append((x, y))
         rows_z.append(z)
     if not rows_x:

@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .dataset import atomic_write_text
 from .errors import ConfigError, DataError
 from .localization import (
     AutoencoderCompressor,
-    FieldBuilder,
     Grid,
     IdentityCompressor,
     PcaCompressor,
@@ -74,7 +73,6 @@ class EvaluationSpec:
     cell_size: float = 1.0
     sigma_m: float = 10.0
     margin_cells: int = 2
-    kl_direction: str = "ideal-to-estimated"
     raster_indices: tuple[int, ...] = ()
 
 
@@ -109,15 +107,15 @@ class ExperimentConfig:
                 raise ConfigError("pca compressor needs a positive latent_dim")
 
 
-def _synth_config_from_dict(doc: dict) -> ds_mod.SynthEnvConfig:
-    known = {
-        "area", "n_aps", "tx_power_dbm", "path_loss_exponent", "reference_distance_m",
-        "shadowing_std_dbm", "shadowing_correlation_length_m", "floor_dbm",
-        "waypoints", "sample_spacing_m",
-    }
-    extra = set(doc) - known
+def _reject_unknown_fields(doc: dict, spec: type, section: str) -> None:
+    """A key of a config section that names no field of `spec` is a ConfigError."""
+    extra = set(doc) - {f.name for f in fields(spec)}
     if extra:
-        raise ConfigError(f"unknown synth fields: {sorted(extra)}")
+        raise ConfigError(f"unknown {section} fields: {sorted(extra)}")
+
+
+def _synth_config_from_dict(doc: dict) -> ds_mod.SynthEnvConfig:
+    _reject_unknown_fields(doc, ds_mod.SynthEnvConfig, "synth")
     kwargs = dict(doc)
     if "area" in kwargs:
         kwargs["area"] = tuple(float(v) for v in kwargs["area"])
@@ -169,11 +167,11 @@ def _config_from_dict(doc: dict) -> ExperimentConfig:
 
     split_doc = doc.get("split", {})
     eval_doc = doc.get("evaluation", {})
+    _reject_unknown_fields(eval_doc, EvaluationSpec, "evaluation")
     evaluation = EvaluationSpec(
         cell_size=float(eval_doc.get("cell_size", 1.0)),
         sigma_m=float(eval_doc.get("sigma_m", 10.0)),
         margin_cells=int(eval_doc.get("margin_cells", 2)),
-        kl_direction=str(eval_doc.get("kl_direction", "ideal-to-estimated")),
         raster_indices=tuple(int(i) for i in eval_doc.get("raster_indices", ())),
     )
 
@@ -249,18 +247,26 @@ def obtain_dataset(cfg: ExperimentConfig) -> ds_mod.SurveyDataset:
     return ds_mod.load_csv(cfg.csv_path)
 
 
+def _ae_train_config(cfg: ExperimentConfig, kind: str) -> ae.TrainConfig:
+    """The TrainConfig of an autoencoder spec that has no `train` block.
+
+    It is cfg.ae_train; the sparse AE drops the distance term, and each
+    kind trains from its own seed stream.
+    """
+    if kind == "sparse_ae":
+        return replace(cfg.ae_train, lambda_d=0.0, seed=cfg.seed + _SPARSE_AE_SEED_OFFSET)
+    return replace(cfg.ae_train, seed=cfg.seed + _DISTANCE_AE_SEED_OFFSET)
+
+
 def default_compare_compressors(cfg: ExperimentConfig) -> list[CompressorSpec]:
     """The standard five pipelines ranked in the headline comparison."""
-    sparse = replace(
-        cfg.ae_train, lambda_d=0.0, seed=cfg.seed + _SPARSE_AE_SEED_OFFSET
-    )
-    distance = replace(cfg.ae_train, seed=cfg.seed + _DISTANCE_AE_SEED_OFFSET)
     return [
         CompressorSpec(kind="identity", label="input"),
         CompressorSpec(kind="pca", latent_dim=30, label="pca30"),
         CompressorSpec(kind="pca", latent_dim=10, label="pca10"),
-        CompressorSpec(kind="sparse_ae", train=sparse, label="sparse_ae"),
-        CompressorSpec(kind="distance_ae", train=distance, label="distance_ae"),
+    ] + [
+        CompressorSpec(kind=kind, train=_ae_train_config(cfg, kind), label=kind)
+        for kind in ("sparse_ae", "distance_ae")
     ]
 
 
@@ -277,14 +283,7 @@ def build_compressor(spec: CompressorSpec, train_norm: ds_mod.SurveyDataset, cfg
         c = min(spec.latent_dim, train_norm.m)
         return PcaCompressor(pca_mod.fit(train_norm.Z, c)), None
     if spec.kind in ("sparse_ae", "distance_ae"):
-        train_cfg = spec.train
-        if train_cfg is None:
-            train_cfg = replace(
-                cfg.ae_train,
-                lambda_d=0.0 if spec.kind == "sparse_ae" else cfg.ae_train.lambda_d,
-                seed=cfg.seed
-                + (_SPARSE_AE_SEED_OFFSET if spec.kind == "sparse_ae" else _DISTANCE_AE_SEED_OFFSET),
-            )
+        train_cfg = spec.train if spec.train is not None else _ae_train_config(cfg, spec.kind)
         params, report = ae.train(train_norm, train_cfg)
         return AutoencoderCompressor(params), report
     raise ConfigError(f"unknown compressor kind {spec.kind!r}")
@@ -497,24 +496,21 @@ def run_evaluate(cfg: ExperimentConfig) -> list[loc.EvalResult]:
 
     all_points = np.vstack([train_raw.X, test_raw.X])
     grid = Grid.cover(all_points, ev.cell_size, ev.margin_cells)
-    results = loc.evaluate(pipelines, test_norm, grid, ev.sigma_m, ev.kl_direction)
+    results = loc.evaluate(pipelines, test_norm, grid, ev.sigma_m, ev.raster_indices)
     manifest.stage("evaluate")
 
     summary_lines = ["label,mean_kl,mean_argmax_error_m"]
-    for pipeline, result in zip(pipelines, results):
+    for result in results:
         per_point = os.path.join(outdir, f"eval_{result.label}.csv")
         loc.save_eval_csv(result, test_norm, per_point)
         manifest.artifact(per_point)
         summary_lines.append(
             f"{result.label},{result.mean_kl!r},{result.mean_argmax_error_m!r}"
         )
-        if ev.raster_indices:
-            builder = FieldBuilder(pipeline, grid)
-            for idx in ev.raster_indices:
-                fld = builder.field_for(test_norm.Z[idx])
-                raster = os.path.join(outdir, f"field_{result.label}_{idx:04d}.pgm")
-                loc.save_field_pgm(fld, raster)
-                manifest.artifact(raster)
+        for idx in ev.raster_indices:
+            raster = os.path.join(outdir, f"field_{result.label}_{idx:04d}.pgm")
+            loc.save_field_pgm(result.rasters[idx], raster)
+            manifest.artifact(raster)
     atomic_write_text(os.path.join(outdir, "summary.csv"), "\n".join(summary_lines) + "\n")
     manifest.artifact("summary.csv")
     manifest.stage("report")

@@ -123,8 +123,6 @@ class LikelihoodField:
 class IdentityCompressor:
     """Pass-through compressor: the latent space is the input space."""
 
-    kind = "identity"
-
     def __init__(self, input_dim: int):
         self.input_dim = input_dim
         self.latent_dim = input_dim
@@ -137,8 +135,6 @@ class IdentityCompressor:
 
 
 class PcaCompressor:
-    kind = "pca"
-
     def __init__(self, model: pca_mod.PcaModel):
         self.model = model
         self.input_dim = model.input_dim
@@ -149,8 +145,6 @@ class PcaCompressor:
 
 
 class AutoencoderCompressor:
-    kind = "autoencoder"
-
     def __init__(self, params: ae.AutoencoderParams):
         self.params = params
         self.input_dim = params.input_dim
@@ -264,11 +258,12 @@ def kl_divergence(p_ideal: LikelihoodField, q_est: LikelihoodField) -> float:
 
 @dataclass
 class EvalResult:
-    """Per-test-point scores for one pipeline."""
+    """Per-test-point scores for one pipeline, plus the fields kept as rasters."""
 
     label: str
     kl_values: np.ndarray
     argmax_errors_m: np.ndarray
+    rasters: dict[int, LikelihoodField] = field(default_factory=dict)
     mean_kl: float = field(init=False)
     mean_argmax_error_m: float = field(init=False)
 
@@ -284,42 +279,42 @@ def evaluate(
     test_set: SurveyDataset,
     grid: Grid,
     sigma: float,
-    kl_direction: str = "ideal-to-estimated",
+    raster_indices: tuple[int, ...] = (),
 ) -> list[EvalResult]:
     """Score every pipeline on every test measurement.
 
-    For each test row: build the likelihood field, compare it to the
-    ideal posterior at the true location, and record the distance from
-    the field's argmax cell to the truth. A package error while scoring
-    a row is re-raised as the same class, its message prefixed with the
-    row index.
+    For each test row: build the likelihood field, score it by
+    KL(ideal || field) against the ideal posterior at the true location,
+    and record the distance from the field's argmax cell to the truth.
+    The fields of the rows named in raster_indices are kept in each
+    result's `rasters`. A package error while scoring a row is re-raised
+    as the same class, its message prefixed with the row index.
     """
     if not test_set.normalized:
         raise DataError("test set must be normalized with the training statistics")
-    if kl_direction not in ("ideal-to-estimated", "estimated-to-ideal"):
-        raise ConfigError(f"unknown kl_direction {kl_direction!r}")
 
+    keep = set(raster_indices)
     results = []
     for pipeline in pipelines:
         builder = FieldBuilder(pipeline, grid)
-        kl_values, errors = [], []
+        kl_values, errors, rasters = [], [], {}
         for i in range(test_set.n):
             try:
                 fld = builder.field_for(test_set.Z[i])
                 ideal = ideal_posterior(grid, test_set.X[i], sigma)
             except RssAtlasError as exc:
                 raise type(exc)(f"test point {i}: {exc}") from exc
-            if kl_direction == "ideal-to-estimated":
-                kl_values.append(kl_divergence(ideal, fld))
-            else:
-                kl_values.append(kl_divergence(fld, ideal))
+            kl_values.append(kl_divergence(ideal, fld))
             ax, ay = fld.argmax_center()
             errors.append(math.hypot(ax - test_set.X[i, 0], ay - test_set.X[i, 1]))
+            if i in keep:
+                rasters[i] = fld
         results.append(
             EvalResult(
                 label=pipeline.label,
                 kl_values=np.array(kl_values),
                 argmax_errors_m=np.array(errors),
+                rasters=rasters,
             )
         )
     return results

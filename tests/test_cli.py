@@ -9,6 +9,8 @@ import pytest
 
 from rss_atlas import cli
 from rss_atlas import dataset as dsm
+from rss_atlas import experiment as ex
+from rss_atlas import localization as loc
 
 
 def tiny_config(out_dir, seed=3):
@@ -154,6 +156,34 @@ class TestEvaluateCommand:
         cfg2 = write_config(tmp_path, doc, name="cfg2.json")
         assert cli.main(["evaluate", "--config", cfg2]) == 1
 
+    def test_rasters_come_from_the_scoring_pass(self, tmp_path, trained_dir, monkeypatch):
+        cfg, outdir = trained_dir
+        doc = json.loads(open(cfg).read())
+        doc["evaluation"]["raster_indices"] = [0, 3]
+        cfg2 = write_config(tmp_path, doc, name="cfg2.json")
+        built = []
+        init = loc.FieldBuilder.__init__
+
+        def counting_init(self, pipeline, grid):
+            built.append(pipeline.label)
+            init(self, pipeline, grid)
+
+        monkeypatch.setattr(loc.FieldBuilder, "__init__", counting_init)
+        assert cli.main(["evaluate", "--config", cfg2]) == 0
+        assert built == ["input", "pca4", "distance_ae"]
+        monkeypatch.undo()
+
+        train = dsm.load_csv(outdir / "train.csv")
+        test = dsm.apply_normalization(dsm.load_csv(outdir / "test.csv"), dsm.normalize(train)[1])
+        grid = loc.Grid.cover(np.vstack([train.X, test.X]), 2.0, 2)
+        expected = tmp_path / "expected.pgm"
+        for label in built:
+            pipe = ex.pipeline_from_dict(json.loads((outdir / f"pipeline_{label}.json").read_text()))
+            builder = loc.FieldBuilder(pipe, grid)
+            for idx in (0, 3):
+                loc.save_field_pgm(builder.field_for(test.Z[idx]), expected)
+                assert (outdir / f"field_{label}_{idx:04d}.pgm").read_bytes() == expected.read_bytes()
+
     def test_summary_mean_matches_per_point_csv(self, trained_dir):
         cfg, outdir = trained_dir
         cli.main(["evaluate", "--config", cfg])
@@ -233,6 +263,11 @@ def _v1_pipeline(doc, out):
     return "evaluate"
 
 
+def _unknown_evaluation_key(doc, out):
+    doc["evaluation"]["kl_direction"] = "estimated-to-ideal"
+    return "evaluate"
+
+
 def _underflowing_test_row(doc, out):
     path = out / "test.csv"
     lines = path.read_text().splitlines()
@@ -243,12 +278,22 @@ def _underflowing_test_row(doc, out):
     return "evaluate"
 
 
+def _overflowing_latent_std(doc, out):
+    path = out / "pipeline_input.json"
+    pipe = json.loads(path.read_text())
+    pipe["latent_std"] = [1e-300] * len(pipe["latent_std"])
+    path.write_text(json.dumps(pipe))
+    return "evaluate"
+
+
 FAILURES = {
     "bad_config": (_bad_config, 1, "config error"),
+    "unknown_evaluation_key": (_unknown_evaluation_key, 1, "kl_direction"),
     "missing_csv": (_missing_csv, 2, "no_such_survey.csv"),
     "corrupt_pipeline_json": (_corrupt_pipeline_json, 2, "pipeline_input.json"),
     "v1_pipeline": (_v1_pipeline, 2, "format_version"),
-    "underflowing_test_row": (_underflowing_test_row, 3, "test point 0"),
+    "underflowing_test_row": (_underflowing_test_row, 2, "not physical"),
+    "overflowing_latent_std": (_overflowing_latent_std, 3, "test point 0"),
 }
 
 

@@ -55,6 +55,48 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="line 2"):
             dsm.load_csv(p)
 
+    def test_rss_below_thermal_noise_rejected(self, tmp_path):
+        p = write(tmp_path, "x,y,apA\n0,0,-50\n1,0,-1e300\n")
+        with pytest.raises(DataError, match="line 3: RSS below -174 dBm is not physical"):
+            dsm.load_csv(p)
+
+    def test_rss_bounds_inclusive(self, tmp_path):
+        p = write(tmp_path, "x,y,apA,apB\n0,0,-174,0\n")
+        assert dsm.load_csv(p).Z.tolist() == [[-174.0, 0.0]]
+
+    # float() accepts each of these; none is an ASCII decimal number.
+    NOT_DECIMAL = ["-5_0", "\u0661", "-\u0665\u0660", "\uff15", "nan", "inf", "-Infinity"]
+
+    @pytest.mark.parametrize("cell", NOT_DECIMAL + ["1e", "--5", "-50dBm", "0x10"])
+    def test_non_decimal_rss_cell_rejected(self, tmp_path, cell):
+        p = tmp_path / "survey.csv"
+        p.write_text(f"x,y,apA\n0,0,{cell}\n", encoding="utf-8")
+        with pytest.raises(DataError, match="line 2: non-numeric RSS cell 'apA'"):
+            dsm.load_csv(p)
+
+    @pytest.mark.parametrize("cell", NOT_DECIMAL)
+    def test_non_decimal_coordinate_rejected(self, tmp_path, cell):
+        p = tmp_path / "survey.csv"
+        p.write_text(f"x,y,apA\n0,{cell},-50\n", encoding="utf-8")
+        with pytest.raises(DataError, match="line 2: non-numeric coordinate"):
+            dsm.load_csv(p)
+
+    def test_decimal_forms_and_padding_accepted(self, tmp_path):
+        p = write(tmp_path, "x,y,apA,apB\n +1.5 ,.5e1, -60. ,-7E+1\n")
+        ds = dsm.load_csv(p)
+        assert ds.X.tolist() == [[1.5, 5.0]]
+        assert ds.Z.tolist() == [[-60.0, -70.0]]
+
+    def test_repr_extremes_round_trip(self, tmp_path):
+        X = np.array([[1e16, -1.5e-07], [5e-324, -0.0], [123456789.123, -1.7976931348623157e308]])
+        Z = np.array([[-1e-05, -174.0], [-0.0, -73.12345678901234], [-5e-324, -100.0]])
+        ds = dsm.SurveyDataset(X=X, Z=Z, ap_ids=("a", "b"))
+        p = tmp_path / "extremes.csv"
+        dsm.save_csv(ds, p)
+        back = dsm.load_csv(p)
+        assert np.array_equal(back.X, X) and np.array_equal(back.Z, Z)
+        assert np.array_equal(np.signbit(back.X), np.signbit(X))
+
     def test_roundtrip_bit_identical(self, tmp_path, small_survey):
         p = tmp_path / "rt.csv"
         dsm.save_csv(small_survey, p)
@@ -75,7 +117,8 @@ class TestLoadCsv:
 # Cells a survey CSV may hold, well formed or not.
 _CELLS = st.sampled_from(
     ["x", "y", "ap1", "ap2", "", " ", "-50", "-1e300", "0", "1", "nan", "inf", "-inf",
-     "1e999", "abc", "-7.5", "-60", "-80.25", "1_0", "\u0661", "x,y"]
+     "1e999", "abc", "-7.5", "-60", "-80.25", "1_0", "\u0661", "x,y",
+     "-5_0", "\uff15", " -60 ", "+.5", "-7e+1", "-174", "-175", "1e"]
 )
 
 
@@ -192,6 +235,12 @@ class TestSynthesize:
     def test_floor_above_tx_rejected(self):
         with pytest.raises(ConfigError):
             dsm.SynthEnvConfig(tx_power_dbm=-120.0).validate()
+
+    def test_floor_below_thermal_noise_rejected(self):
+        # load_csv refuses such readings, so train must not write them.
+        with pytest.raises(ConfigError, match="floor_dbm"):
+            dsm.SynthEnvConfig(floor_dbm=-175.0).validate()
+        dsm.SynthEnvConfig(floor_dbm=dsm.MIN_RSS_DBM).validate()
 
 
 class TestNormalize:

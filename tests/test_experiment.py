@@ -56,6 +56,14 @@ class TestConfigParsing:
                 {"seed": 1, "output_dir": "o", "dataset": {"synth": {"n_access": 3}}}
             )
 
+    @pytest.mark.parametrize("key", ["kl_direction", "cell_sise"])
+    def test_unknown_evaluation_field(self, key):
+        with pytest.raises(ConfigError, match=f"unknown evaluation fields: \\['{key}'\\]"):
+            ex.config_from_dict(
+                {"seed": 1, "output_dir": "o", "dataset": {"synth": {}},
+                 "evaluation": {"cell_size": 2.0, key: "estimated-to-ideal"}}
+            )
+
     def test_malformed_values_become_config_errors(self):
         with pytest.raises(ConfigError):
             ex.config_from_dict(

@@ -288,6 +288,17 @@ class TestEvaluate:
         with pytest.raises(DataError, match="normalized"):
             loc.evaluate([pipe], raw, grid, sigma=10.0)
 
+    def test_keeps_raster_fields_of_named_rows(self, eval_setup):
+        pipe, test_norm, grid = eval_setup
+        plain = loc.evaluate([pipe], test_norm, grid, sigma=10.0)[0]
+        kept = loc.evaluate([pipe], test_norm, grid, sigma=10.0, raster_indices=(3, 0))[0]
+        assert plain.rasters == {}
+        assert sorted(kept.rasters) == [0, 3]
+        assert np.array_equal(kept.kl_values, plain.kl_values)
+        builder = loc.FieldBuilder(pipe, grid)
+        for i, fld in kept.rasters.items():
+            assert np.array_equal(fld.mass, builder.field_for(test_norm.Z[i]).mass)
+
     def test_mean_matches_per_point(self, eval_setup):
         pipe, test_norm, grid = eval_setup
         r = loc.evaluate([pipe], test_norm, grid, sigma=10.0)[0]
