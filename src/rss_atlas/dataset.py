@@ -117,7 +117,7 @@ class SynthEnvConfig:
     RSS at distance d from an AP transmitting at tx_power_dbm follows
     tx - 10 * gamma * log10(max(d, d_ref) / d_ref) plus zero-mean Gaussian
     shadowing with spatial correlation exp(-|xp - xq|^2 / lambda_c^2),
-    clamped below at floor_dbm. Samples are taken along the waypoint
+    clamped to [floor_dbm, 0] dBm. Samples are taken along the waypoint
     polyline every sample_spacing_m meters.
 
     The defaults describe an outdoor campus-scale survey: 91 APs over a
@@ -153,6 +153,10 @@ class SynthEnvConfig:
             raise ConfigError("shadowing_std_dbm must be >= 0")
         if self.shadowing_correlation_length_m <= 0:
             raise ConfigError("shadowing_correlation_length_m must be positive")
+        if not self.tx_power_dbm <= 0.0:
+            raise ConfigError(
+                f"tx_power_dbm must be at most 0 dBm, got {self.tx_power_dbm}"
+            )
         if self.floor_dbm >= self.tx_power_dbm:
             raise ConfigError("floor_dbm must be below tx_power_dbm")
         if not self.floor_dbm >= MIN_RSS_DBM:
@@ -256,7 +260,9 @@ def synthesize(config: SynthEnvConfig, seed: int) -> SurveyDataset:
         gauss = rng.standard_normal((n, config.n_aps))
         Z = Z + config.shadowing_std_dbm * (chol @ gauss)
 
-    Z = np.maximum(Z, config.floor_dbm)
+    # Shadowing can lift a reading near an AP above tx_power_dbm; load_csv
+    # refuses RSS above 0 dBm, so the survey stops there.
+    Z = np.clip(Z, config.floor_dbm, 0.0)
     ids = tuple(f"ap{j:03d}" for j in range(config.n_aps))
     return SurveyDataset(X=X, Z=Z, ap_ids=ids)
 

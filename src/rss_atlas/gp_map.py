@@ -151,8 +151,11 @@ def predict_batch(model: GpModel, X_star: np.ndarray) -> tuple[np.ndarray, np.nd
     k_star = kernel_matrix(model.X_train, X_star, hp)
     means = k_star.T @ model.W
     v = solve_triangular(model.chol_factor, k_star, lower=True)
+    # Squared in place with k_star freed, so at most two n x k arrays live.
+    del k_star
+    v *= v
     prior = hp.signal_variance + hp.noise_variance
-    variances = prior - np.sum(v * v, axis=0)
+    variances = prior - np.sum(v, axis=0)
     variances = np.where(variances < _VARIANCE_FLOOR, _VARIANCE_FLOOR, variances)
     return means, variances
 

@@ -57,11 +57,15 @@ class Grid:
     def n_cells(self) -> int:
         return self.width * self.height
 
-    def cell_centers(self) -> np.ndarray:
-        """(width*height) x 2 centers, x-major order (index = ix*height + iy)."""
+    def axis_centers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cell-center x coordinates (width) and y coordinates (height)."""
         xs = self.origin_x + (np.arange(self.width) + 0.5) * self.cell_size
         ys = self.origin_y + (np.arange(self.height) + 0.5) * self.cell_size
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        return xs, ys
+
+    def cell_centers(self) -> np.ndarray:
+        """(width*height) x 2 centers, x-major order (index = ix*height + iy)."""
+        gx, gy = np.meshgrid(*self.axis_centers(), indexing="ij")
         return np.column_stack([gx.ravel(), gy.ravel()])
 
     def cell_center(self, ix: int, iy: int) -> tuple[float, float]:
@@ -185,27 +189,38 @@ class FieldBuilder:
     """Precomputed per-cell GP predictions for one pipeline on one grid.
 
     The predictions depend only on the grid and the pipeline, so building
-    fields for many measurements reuses them. The precompute runs over
-    fixed-size cell blocks to bound memory.
+    fields for many measurements reuses them. The precompute splits the
+    grid into as many blocks of at least _BLOCK cells as fit, of nearly
+    equal width, so its temporaries are a few n x block arrays for n
+    training points.
+
+    The blocks give the bits of one whole-grid predict_batch. OpenBLAS's
+    triangular solve works on groups of 12 columns and rounds a partial
+    group at the end of a call differently, so every block but the last
+    is whole groups. Its matrix product takes another path for small
+    products, so no block is narrower than _BLOCK.
     """
 
-    _BLOCK = 16384
+    _BLOCK = 2016
+    _GROUP = 12
 
     def __init__(self, pipeline: Pipeline, grid: Grid):
         self.pipeline = pipeline
         self.grid = grid
         centers = grid.cell_centers()
-        means = np.empty((grid.n_cells, pipeline.gp.output_dim))
-        variances = np.empty(grid.n_cells)
-        for start in range(0, grid.n_cells, self._BLOCK):
-            stop = min(start + self._BLOCK, grid.n_cells)
-            means[start:stop], variances[start:stop] = gp_map.predict_batch(
+        self._means = np.empty((grid.n_cells, pipeline.gp.output_dim))
+        self._mean_sq = np.empty(grid.n_cells)
+        self._variances = np.empty(grid.n_cells)
+        n_blocks = max(1, grid.n_cells // self._BLOCK)
+        groups = grid.n_cells // self._GROUP
+        edges = [self._GROUP * (b * groups // n_blocks) for b in range(n_blocks)]
+        for start, stop in zip(edges, edges[1:] + [grid.n_cells]):
+            means, self._variances[start:stop] = gp_map.predict_batch(
                 pipeline.gp, centers[start:stop]
             )
-        self._means = means
-        self._mean_sq = np.sum(means * means, axis=1)
-        self._variances = variances
-        self._log_norm = -0.5 * pipeline.gp.output_dim * (LOG_2PI + np.log(variances))
+            self._means[start:stop] = means
+            self._mean_sq[start:stop] = np.sum(means * means, axis=1)
+        self._log_norm = -0.5 * pipeline.gp.output_dim * (LOG_2PI + np.log(self._variances))
 
     def log_likelihoods(self, z) -> np.ndarray:
         """Flat per-cell log of the product of per-dimension densities."""
@@ -240,9 +255,13 @@ def ideal_posterior(grid: Grid, x_true, sigma: float) -> LikelihoodField:
     """Isotropic Gaussian mass centered on the true location."""
     if sigma <= 0:
         raise ConfigError("sigma must be positive")
-    centers = grid.cell_centers()
-    d = centers - np.asarray(x_true, dtype=float)
-    log_density = -np.sum(d * d, axis=1) / (2.0 * sigma * sigma) - LOG_2PI - 2.0 * math.log(sigma)
+    xs, ys = grid.axis_centers()
+    x_true = np.asarray(x_true, dtype=float)
+    dx = xs - x_true[0]
+    dy = ys - x_true[1]
+    # Separable squared distance, same x-major order as cell_centers().
+    sq_dist = ((dx * dx)[:, None] + (dy * dy)[None, :]).ravel()
+    log_density = -sq_dist / (2.0 * sigma * sigma) - LOG_2PI - 2.0 * math.log(sigma)
     return LikelihoodField.from_log(grid, log_density)
 
 
@@ -295,28 +314,31 @@ def evaluate(
 
     keep = set(raster_indices)
     results = []
-    for pipeline in pipelines:
-        builder = FieldBuilder(pipeline, grid)
-        kl_values, errors, rasters = [], [], {}
-        for i in range(test_set.n):
-            try:
-                fld = builder.field_for(test_set.Z[i])
-                ideal = ideal_posterior(grid, test_set.X[i], sigma)
-            except RssAtlasError as exc:
-                raise type(exc)(f"test point {i}: {exc}") from exc
-            kl_values.append(kl_divergence(ideal, fld))
-            ax, ay = fld.argmax_center()
-            errors.append(math.hypot(ax - test_set.X[i, 0], ay - test_set.X[i, 1]))
-            if i in keep:
-                rasters[i] = fld
-        results.append(
-            EvalResult(
-                label=pipeline.label,
-                kl_values=np.array(kl_values),
-                argmax_errors_m=np.array(errors),
-                rasters=rasters,
+    # An overflowing field still raises LikelihoodUnderflowError in
+    # from_log; numpy's overflow warning would only print before it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for pipeline in pipelines:
+            builder = FieldBuilder(pipeline, grid)
+            kl_values, errors, rasters = [], [], {}
+            for i in range(test_set.n):
+                try:
+                    fld = builder.field_for(test_set.Z[i])
+                    ideal = ideal_posterior(grid, test_set.X[i], sigma)
+                except RssAtlasError as exc:
+                    raise type(exc)(f"test point {i}: {exc}") from exc
+                kl_values.append(kl_divergence(ideal, fld))
+                ax, ay = fld.argmax_center()
+                errors.append(math.hypot(ax - test_set.X[i, 0], ay - test_set.X[i, 1]))
+                if i in keep:
+                    rasters[i] = fld
+            results.append(
+                EvalResult(
+                    label=pipeline.label,
+                    kl_values=np.array(kl_values),
+                    argmax_errors_m=np.array(errors),
+                    rasters=rasters,
+                )
             )
-        )
     return results
 
 

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,14 +152,14 @@ class TestEvaluateCommand:
 
     def test_raster_index_out_of_range(self, tmp_path, trained_dir):
         cfg, outdir = trained_dir
-        doc = json.loads(open(cfg).read())
+        doc = json.loads(Path(cfg).read_text())
         doc["evaluation"]["raster_indices"] = [10_000]
         cfg2 = write_config(tmp_path, doc, name="cfg2.json")
         assert cli.main(["evaluate", "--config", cfg2]) == 1
 
     def test_rasters_come_from_the_scoring_pass(self, tmp_path, trained_dir, monkeypatch):
         cfg, outdir = trained_dir
-        doc = json.loads(open(cfg).read())
+        doc = json.loads(Path(cfg).read_text())
         doc["evaluation"]["raster_indices"] = [0, 3]
         cfg2 = write_config(tmp_path, doc, name="cfg2.json")
         built = []
@@ -286,8 +287,14 @@ def _overflowing_latent_std(doc, out):
     return "evaluate"
 
 
+def _tx_power_above_0_dbm(doc, out):
+    doc["dataset"]["synth"]["tx_power_dbm"] = 10.0
+    return "train"
+
+
 FAILURES = {
     "bad_config": (_bad_config, 1, "config error"),
+    "tx_power_above_0_dbm": (_tx_power_above_0_dbm, 1, "tx_power_dbm"),
     "unknown_evaluation_key": (_unknown_evaluation_key, 1, "kl_direction"),
     "missing_csv": (_missing_csv, 2, "no_such_survey.csv"),
     "corrupt_pipeline_json": (_corrupt_pipeline_json, 2, "pipeline_input.json"),
@@ -315,14 +322,34 @@ def test_failure_contract(case, tmp_path, trained_identity, capsys):
     assert not list(out.glob("*.tmp"))
 
 
-def test_module_entry_point_prints_no_warning():
-    """`python -m rss_atlas.cli` runs without runpy's double-import warning."""
+def _module_env():
+    """Environment in which `python -m rss_atlas.cli` imports this package."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_overflow_exit_prints_one_stderr_line(tmp_path, trained_identity):
+    """Outside pytest's capture numpy would print its overflow warning before the error."""
+    out = tmp_path / "out"
+    shutil.copytree(trained_identity, out)
+    _overflowing_latent_std(None, out)
+    cfg = write_config(tmp_path, identity_config(out))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rss_atlas.cli", "evaluate", "--config", cfg],
+        capture_output=True, text=True, env=_module_env(), timeout=120,
+    )
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1
+    assert "test point 0" in proc.stderr
+
+
+def test_module_entry_point_prints_no_warning():
+    """`python -m rss_atlas.cli` runs without runpy's double-import warning."""
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "rss_atlas.cli", "--help"],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_module_env(), timeout=120,
     )
     assert proc.returncode == 0
     assert proc.stderr == ""

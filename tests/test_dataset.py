@@ -236,6 +236,23 @@ class TestSynthesize:
         with pytest.raises(ConfigError):
             dsm.SynthEnvConfig(tx_power_dbm=-120.0).validate()
 
+    def test_tx_power_above_0_dbm_rejected(self):
+        # load_csv refuses readings above 0 dBm, so train must not write them.
+        with pytest.raises(ConfigError, match="tx_power_dbm"):
+            dsm.SynthEnvConfig(tx_power_dbm=10.0).validate()
+        dsm.SynthEnvConfig(tx_power_dbm=0.0).validate()
+
+    def test_shadowing_clamped_at_0_dbm(self, small_synth_config, tmp_path):
+        from dataclasses import replace
+
+        cfg = replace(small_synth_config, tx_power_dbm=0.0, shadowing_std_dbm=8.0)
+        ds = dsm.synthesize(cfg, seed=3)
+        assert ds.Z.max() == 0.0
+        assert np.count_nonzero(ds.Z == 0.0) > 1
+        path = tmp_path / "survey.csv"
+        dsm.save_csv(ds, path)
+        assert np.array_equal(dsm.load_csv(path).Z, ds.Z)
+
     def test_floor_below_thermal_noise_rejected(self):
         # load_csv refuses such readings, so train must not write them.
         with pytest.raises(ConfigError, match="floor_dbm"):

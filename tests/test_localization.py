@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,7 +134,86 @@ class TestLikelihoodField:
             assert err <= grid.cell_size * math.sqrt(2.0)
 
 
+def random_pipeline(n, d, hp, seed=0):
+    """Identity pipeline whose GP is fitted on n random points in a 90 x 50 m area."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform([0.0, 0.0], [90.0, 50.0], size=(n, 2))
+    gp = gp_map.fit(X, rng.normal(size=(n, d)), hp)
+    return loc.Pipeline(
+        label="rand", compressor=loc.IdentityCompressor(d), gp=gp,
+        latent_mean=np.zeros(d), latent_std=np.ones(d),
+    )
+
+
+class TestFieldBuilder:
+    @pytest.mark.parametrize("n", [60, 150, 300, 418])
+    @pytest.mark.parametrize(
+        "hp",
+        [
+            gp_map.GpHyperparams(signal_variance=1.0, length_scale=10.0, noise_variance=0.05),
+            gp_map.GpHyperparams(signal_variance=0.5, length_scale=40.0, noise_variance=0.01),
+        ],
+        ids=["l10", "l40"],
+    )
+    @pytest.mark.parametrize("shape", [(100, 60), (41, 101)])
+    def test_blocks_equal_one_whole_grid_prediction(self, n, hp, shape):
+        pipe = random_pipeline(n, 5, hp)
+        grid = loc.Grid(-5.0, -5.0, 1.0, *shape)
+        assert grid.n_cells > 2 * loc.FieldBuilder._BLOCK
+        assert grid.n_cells % loc.FieldBuilder._BLOCK != 0
+        builder = loc.FieldBuilder(pipe, grid)
+        means, variances = gp_map.predict_batch(pipe.gp, grid.cell_centers())
+        assert np.array_equal(builder._means, means)
+        assert np.array_equal(builder._mean_sq, np.sum(means * means, axis=1))
+        assert np.array_equal(builder._variances, variances)
+        log_norm = -0.5 * 5 * (loc.LOG_2PI + np.log(variances))
+        assert np.array_equal(builder._log_norm, log_norm)
+
+    def test_precompute_memory_is_bounded_by_the_block(self):
+        # numpy reports its buffers to tracemalloc. The grid is split evenly,
+        # so no block reaches twice the block width. The bound allows the
+        # per-cell tables plus four n x (2 * block) temporaries of the GP
+        # prediction; 16,384-cell blocks need about three times that here.
+        n, d, block = 300, 16, 2048
+        assert loc.FieldBuilder._BLOCK <= block
+        hp = gp_map.GpHyperparams(signal_variance=1.0, length_scale=10.0, noise_variance=0.05)
+        pipe = random_pipeline(n, d, hp)
+        grid = loc.Grid(0.0, 0.0, 1.0, 200, 100)
+        tables = 8 * grid.n_cells * (d + 3 + 2)  # means, mean_sq, variances, log_norm, centers
+        temporaries = 8 * 4 * n * (2 * block)
+        tracemalloc.start()
+        try:
+            loc.FieldBuilder(pipe, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= tables + temporaries
+
+
+def meshgrid_ideal_posterior(grid, x_true, sigma):
+    """ideal_posterior as a distance from every row of cell_centers()."""
+    d = grid.cell_centers() - np.asarray(x_true, dtype=float)
+    log_density = (
+        -np.sum(d * d, axis=1) / (2.0 * sigma * sigma) - loc.LOG_2PI - 2.0 * math.log(sigma)
+    )
+    return loc.LikelihoodField.from_log(grid, log_density)
+
+
 class TestIdealPosterior:
+    @pytest.mark.parametrize("where", ["on_cell", "off_cell", "off_grid"])
+    def test_separable_form_equals_meshgrid_oracle(self, where, rng):
+        grid = loc.Grid(-3.7, 12.25, 0.8, 37, 23)
+        points = {
+            "on_cell": [grid.cell_center(ix, iy) for ix, iy in ((0, 0), (17, 9), (36, 22))],
+            "off_cell": list(rng.uniform([-3.7, 12.25], [25.9, 30.65], size=(5, 2))),
+            "off_grid": [(-40.2, 3.3), (100.0, 20.0), (10.0, -1e3)],
+        }[where]
+        for x_true in points:
+            for sigma in (0.7, 10.0):
+                got = loc.ideal_posterior(grid, x_true, sigma)
+                want = meshgrid_ideal_posterior(grid, x_true, sigma)
+                assert np.array_equal(got.mass, want.mass)
+
     def test_argmax_cell_contains_truth(self, rng):
         grid = loc.Grid(0.0, 0.0, 1.0, 20, 15)
         for _ in range(10):
