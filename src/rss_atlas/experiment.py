@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -75,6 +76,14 @@ class EvaluationSpec:
     margin_cells: int = 2
     raster_indices: tuple[int, ...] = ()
 
+    def __post_init__(self):
+        for name in ("cell_size", "sigma_m"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"evaluation.{name} must be finite and > 0, got {value}")
+        if self.margin_cells < 0:
+            raise ConfigError(f"evaluation.margin_cells must be >= 0, got {self.margin_cells}")
+
 
 @dataclass
 class ExperimentConfig:
@@ -107,15 +116,18 @@ class ExperimentConfig:
                 raise ConfigError("pca compressor needs a positive latent_dim")
 
 
-def _reject_unknown_fields(doc: dict, spec: type, section: str) -> None:
-    """A key of a config section that names no field of `spec` is a ConfigError."""
-    extra = set(doc) - {f.name for f in fields(spec)}
+_GP_GRID_AXES = ("length_scales", "signal_variances", "noise_variances")
+
+
+def _reject_unknown_fields(doc: dict, known, section: str) -> None:
+    """A key of a config section that is not in `known` is a ConfigError."""
+    extra = set(doc) - set(known)
     if extra:
         raise ConfigError(f"unknown {section} fields: {sorted(extra)}")
 
 
 def _synth_config_from_dict(doc: dict) -> ds_mod.SynthEnvConfig:
-    _reject_unknown_fields(doc, ds_mod.SynthEnvConfig, "synth")
+    _reject_unknown_fields(doc, (f.name for f in fields(ds_mod.SynthEnvConfig)), "synth")
     kwargs = dict(doc)
     if "area" in kwargs:
         kwargs["area"] = tuple(float(v) for v in kwargs["area"])
@@ -167,7 +179,7 @@ def _config_from_dict(doc: dict) -> ExperimentConfig:
 
     split_doc = doc.get("split", {})
     eval_doc = doc.get("evaluation", {})
-    _reject_unknown_fields(eval_doc, EvaluationSpec, "evaluation")
+    _reject_unknown_fields(eval_doc, (f.name for f in fields(EvaluationSpec)), "evaluation")
     evaluation = EvaluationSpec(
         cell_size=float(eval_doc.get("cell_size", 1.0)),
         sigma_m=float(eval_doc.get("sigma_m", 10.0)),
@@ -179,6 +191,10 @@ def _config_from_dict(doc: dict) -> ExperimentConfig:
     if grid_doc is None:
         gp_grid = default_gp_grid()
     else:
+        _reject_unknown_fields(grid_doc, _GP_GRID_AXES, "gp_grid")
+        for axis in _GP_GRID_AXES:
+            if not grid_doc[axis]:
+                raise ConfigError(f"gp_grid.{axis} is empty")
         gp_grid = [
             gp_map.GpHyperparams(signal_variance=s2, length_scale=l, noise_variance=n2)
             for l in grid_doc["length_scales"]
@@ -289,23 +305,40 @@ def build_compressor(spec: CompressorSpec, train_norm: ds_mod.SurveyDataset, cfg
     raise ConfigError(f"unknown compressor kind {spec.kind!r}")
 
 
+def build_pipelines(
+    items: list[tuple[str, object]],
+    train_norm: ds_mod.SurveyDataset,
+    gp_grid: list[gp_map.GpHyperparams],
+) -> list[Pipeline]:
+    """Standardize each compressor's training latents and fit all GP maps in one search.
+
+    `items` are (label, compressor) pairs. The maps share the training
+    locations, so one evidence search over `gp_grid` factors each
+    candidate once for every pipeline; each map is fitted at its own
+    evidence-maximizing candidate.
+    """
+    targets = []
+    for _, compressor in items:
+        latents = compressor.encode(train_norm.Z)
+        mean = latents.mean(axis=0)
+        std = latents.std(axis=0)
+        std = np.where(std == 0.0, 1.0, std)
+        targets.append((mean, std, (latents - mean) / std))
+    models = gp_map.fit_by_evidence(train_norm.X, [Y for _, _, Y in targets], gp_grid)
+    return [
+        Pipeline(label=label, compressor=compressor, gp=model, latent_mean=mean, latent_std=std)
+        for (label, compressor), (mean, std, _), model in zip(items, targets, models)
+    ]
+
+
 def build_pipeline(
     label: str,
     compressor,
     train_norm: ds_mod.SurveyDataset,
     gp_grid: list[gp_map.GpHyperparams],
 ) -> Pipeline:
-    """Standardize training latents, pick GP hyperparameters, fit the map."""
-    latents = compressor.encode(train_norm.Z)
-    mean = latents.mean(axis=0)
-    std = latents.std(axis=0)
-    std = np.where(std == 0.0, 1.0, std)
-    Y = (latents - mean) / std
-    hp = gp_map.select_hyperparams(train_norm.X, Y, gp_grid)
-    model = gp_map.fit(train_norm.X, Y, hp)
-    return Pipeline(
-        label=label, compressor=compressor, gp=model, latent_mean=mean, latent_std=std
-    )
+    """One pipeline: `build_pipelines` for a single compressor."""
+    return build_pipelines([(label, compressor)], train_norm, gp_grid)[0]
 
 
 def pipeline_to_dict(pipeline: Pipeline) -> dict:
@@ -414,7 +447,7 @@ def run_synth(cfg: ExperimentConfig, out_path: str) -> None:
 
 
 def run_train(cfg: ExperimentConfig) -> list[str]:
-    """Split the survey, fit every configured pipeline, save artifacts."""
+    """Split the survey, build every compressor, fit all GP maps in one search, save artifacts."""
     outdir = cfg.output_dir
     os.makedirs(outdir, exist_ok=True)
     manifest = Manifest(cfg)
@@ -433,16 +466,23 @@ def run_train(cfg: ExperimentConfig) -> list[str]:
     manifest.artifact("norm_stats.json")
     manifest.stage("dataset")
 
-    labels = []
-    summary_lines = ["label,kind,latent_dim,final_rmse,final_rmse_dbm,epochs"]
+    built = []
     for spec in cfg.compressors:
         label = spec.resolved_label()
         compressor, report = build_compressor(spec, train_norm, cfg)
-        pipeline = build_pipeline(label, compressor, train_norm, cfg.gp_grid)
+        built.append((spec, label, compressor, report))
+        manifest.stage(f"train:{label}")
+
+    pipelines = build_pipelines(
+        [(label, comp) for _, label, comp, _ in built], train_norm, cfg.gp_grid
+    )
+    manifest.stage("gp_search")
+
+    summary_lines = ["label,kind,latent_dim,final_rmse,final_rmse_dbm,epochs"]
+    for (spec, label, compressor, report), pipeline in zip(built, pipelines):
         path = os.path.join(outdir, f"pipeline_{label}.json")
         atomic_write_text(path, _json_text(pipeline_to_dict(pipeline)))
         manifest.artifact(path)
-        labels.append(label)
 
         if report is not None:
             rmse_dbm = ae.reconstruction_rmse(compressor.params, train_norm.Z, stats)
@@ -459,12 +499,12 @@ def run_train(cfg: ExperimentConfig) -> list[str]:
             )
         else:
             summary_lines.append(f"{label},{spec.kind},{compressor.latent_dim},,,")
-        manifest.stage(f"train:{label}")
 
     atomic_write_text(os.path.join(outdir, "training_summary.csv"), "\n".join(summary_lines) + "\n")
     manifest.artifact("training_summary.csv")
+    manifest.stage("write")
     manifest.write(outdir)
-    return labels
+    return [label for _, label, _, _ in built]
 
 
 def run_evaluate(cfg: ExperimentConfig) -> list[loc.EvalResult]:

@@ -30,6 +30,9 @@ class GpHyperparams:
     noise_variance: float = 0.0
 
     def __post_init__(self):
+        for name in ("signal_variance", "length_scale", "noise_variance"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.signal_variance > 0:
             raise ConfigError(f"signal_variance must be > 0, got {self.signal_variance}")
         if not self.length_scale > 0:
@@ -81,14 +84,20 @@ def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return D
 
 
-def kernel_matrix(A: np.ndarray, B: np.ndarray, hp: GpHyperparams) -> np.ndarray:
-    """Cross-covariance matrix between two location sets (no noise term).
+def _unit_kernel(A: np.ndarray, B: np.ndarray, length_scale: float) -> np.ndarray:
+    """exp(-d/l^2) between two location sets: the kernel at signal variance 1.
 
     Built in place in the distance matrix; -d/l^2 rounds the same as d/(-l^2).
     """
     K = _sq_dists(A, B)
-    K /= -(hp.length_scale**2)
+    K /= -(length_scale**2)
     np.exp(K, out=K)
+    return K
+
+
+def kernel_matrix(A: np.ndarray, B: np.ndarray, hp: GpHyperparams) -> np.ndarray:
+    """Cross-covariance matrix between two location sets (no noise term)."""
+    K = _unit_kernel(A, B, hp.length_scale)
     K *= hp.signal_variance
     return K
 
@@ -102,18 +111,49 @@ def gram_matrix(X: np.ndarray, hp: GpHyperparams) -> np.ndarray:
 
 
 def _cholesky_with_jitter(K: np.ndarray, hp: GpHyperparams) -> np.ndarray:
+    """Lower Cholesky factor of K, retried once with jitter on the diagonal.
+
+    The retry adds the jitter to K's diagonal in place (K is overwritten),
+    which rounds exactly as K + jitter * I does without two more n x n arrays.
+    """
     try:
         return np.linalg.cholesky(K)
     except np.linalg.LinAlgError:
         pass
     jitter = _JITTER_SCALE * hp.signal_variance
+    K[np.diag_indices(K.shape[0])] += jitter
     try:
-        return np.linalg.cholesky(K + jitter * np.eye(K.shape[0]))
+        return np.linalg.cholesky(K)
     except np.linalg.LinAlgError:
         raise GpFitError(
             "covariance matrix is not positive definite even with jitter "
             f"{jitter:g}; increase noise_variance or drop duplicate locations"
         ) from None
+
+
+def _targets(X: np.ndarray, Y) -> np.ndarray:
+    """Y as an n x d float array for the n x 2 locations X; a shape mismatch is a DataError."""
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim == 1:
+        Y = Y[:, None]
+    if X.ndim != 2 or X.shape[1] != 2:
+        raise DataError(f"X must be n x 2, got {X.shape}")
+    if Y.shape[0] != X.shape[0]:
+        raise DataError(f"X has {X.shape[0]} rows but Y has {Y.shape[0]}")
+    return Y
+
+
+def _weights(L: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """W solving (L L^T) W = Y by two triangular solves."""
+    return solve_triangular(L.T, solve_triangular(L, Y, lower=True), lower=False)
+
+
+def _evidence(Y: np.ndarray, W: np.ndarray, L: np.ndarray) -> float:
+    """Log evidence of n x d targets Y, summed over columns, from W and the factor L."""
+    n, d = Y.shape
+    data_term = -0.5 * float(np.sum(Y * W))
+    logdet_term = -d * float(np.sum(np.log(np.diag(L))))
+    return data_term + logdet_term - 0.5 * n * d * math.log(2.0 * math.pi)
 
 
 def fit(X: np.ndarray, Y: np.ndarray, hp: GpHyperparams) -> GpModel:
@@ -123,16 +163,9 @@ def fit(X: np.ndarray, Y: np.ndarray, hp: GpHyperparams) -> GpModel:
     the plain factorization fails.
     """
     X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    if X.ndim != 2 or X.shape[1] != 2:
-        raise DataError(f"X must be n x 2, got {X.shape}")
-    if Y.shape[0] != X.shape[0]:
-        raise DataError(f"X has {X.shape[0]} rows but Y has {Y.shape[0]}")
+    Y = _targets(X, Y)
     L = _cholesky_with_jitter(gram_matrix(X, hp), hp)
-    W = solve_triangular(L.T, solve_triangular(L, Y, lower=True), lower=False)
-    return GpModel(X_train=X, hyperparams=hp, chol_factor=L, W=W)
+    return GpModel(X_train=X, hyperparams=hp, chol_factor=L, W=_weights(L, Y))
 
 
 def predict(model: GpModel, x_star) -> tuple[np.ndarray, float]:
@@ -163,38 +196,63 @@ def predict_batch(model: GpModel, X_star: np.ndarray) -> tuple[np.ndarray, np.nd
 def log_marginal_likelihood(X: np.ndarray, Y: np.ndarray, hp: GpHyperparams) -> float:
     """Gaussian evidence of the targets, summed over output columns."""
     X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim == 1:
-        Y = Y[:, None]
+    Y = _targets(X, Y)
     model = fit(X, Y, hp)
-    n, d = Y.shape
-    data_term = -0.5 * float(np.sum(Y * model.W))
-    logdet_term = -d * float(np.sum(np.log(np.diag(model.chol_factor))))
-    return data_term + logdet_term - 0.5 * n * d * math.log(2.0 * math.pi)
+    return _evidence(Y, model.W, model.chol_factor)
+
+
+def _factor(unit: np.ndarray, hp: GpHyperparams) -> np.ndarray:
+    """Cholesky factor of the Gram matrix built from the unit kernel, as gram_matrix builds it."""
+    G = unit * hp.signal_variance
+    G[np.diag_indices(G.shape[0])] += hp.noise_variance
+    return _cholesky_with_jitter(G, hp)
+
+
+def fit_by_evidence(X: np.ndarray, Ys: list, grid: list[GpHyperparams]) -> list[GpModel]:
+    """Fit one map per target matrix in Ys, each at its evidence-maximizing candidate.
+
+    Every target shares the locations X, so each candidate's Gram matrix
+    is built and factored once for all of them, and the unit kernel
+    exp(-d/l^2) is rebuilt only when the length scale differs from the
+    previous candidate's. Each target keeps its winner's own factor and
+    weights, so no refit follows; the maps equal `fit` at the candidate
+    that maximizes `log_marginal_likelihood`. Non-PD candidates are
+    skipped; exact ties go to the smaller length_scale, then to the
+    earlier grid position.
+    """
+    if not grid:
+        raise ConfigError("hyperparameter grid is empty")
+    X = np.asarray(X, dtype=float)
+    Ys = [_targets(X, Y) for Y in Ys]
+    # Per target: (evidence, hyperparams, factor, weights) of the best candidate so far.
+    best: list[tuple | None] = [None] * len(Ys)
+    unit, unit_scale = None, None
+    for hp in grid:
+        if hp.length_scale != unit_scale:
+            unit = None  # freed before the next one is built
+            unit, unit_scale = _unit_kernel(X, X, hp.length_scale), hp.length_scale
+        try:
+            L = _factor(unit, hp)
+        except GpFitError:
+            continue
+        for t, Y in enumerate(Ys):
+            W = _weights(L, Y)
+            ev = _evidence(Y, W, L)
+            b = best[t]
+            if b is None or ev > b[0] or (ev == b[0] and hp.length_scale < b[1].length_scale):
+                best[t] = (ev, hp, L, W)
+        # Drop a losing factor and any replaced winner before the next candidate is factored.
+        L = W = b = None
+    if any(b is None for b in best):
+        raise GpFitError("every hyperparameter candidate produced a non-PD Gram matrix")
+    return [GpModel(X_train=X, hyperparams=hp, chol_factor=L, W=W) for _, hp, L, W in best]
 
 
 def select_hyperparams(
     X: np.ndarray, Y: np.ndarray, grid: list[GpHyperparams]
 ) -> GpHyperparams:
-    """Grid search maximizing the evidence.
-
-    Non-PD candidates are skipped; exact ties go to the smaller
-    length_scale, then to the earlier grid position.
-    """
-    if not grid:
-        raise ConfigError("hyperparameter grid is empty")
-    best: GpHyperparams | None = None
-    best_ev = -np.inf
-    for hp in grid:
-        try:
-            ev = log_marginal_likelihood(X, Y, hp)
-        except GpFitError:
-            continue
-        if best is None or ev > best_ev or (ev == best_ev and hp.length_scale < best.length_scale):
-            best, best_ev = hp, ev
-    if best is None:
-        raise GpFitError("every hyperparameter candidate produced a non-PD Gram matrix")
-    return best
+    """Grid search maximizing the evidence: `fit_by_evidence` for one target."""
+    return fit_by_evidence(X, [Y], grid)[0].hyperparams
 
 
 def model_to_dict(model: GpModel) -> dict:

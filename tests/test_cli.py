@@ -292,10 +292,45 @@ def _tx_power_above_0_dbm(doc, out):
     return "train"
 
 
+def _gp_grid_value(axis, value):
+    def setup(doc, out):
+        doc["gp_grid"][axis] = value
+        return "train"
+    return setup
+
+
+def _evaluation_value(key, value):
+    def setup(doc, out):
+        doc["evaluation"][key] = value
+        return "evaluate"
+    return setup
+
+
+def _unknown_gp_grid_key(doc, out):
+    doc["gp_grid"]["noise_variance"] = [0.5]
+    return "train"
+
+
 FAILURES = {
     "bad_config": (_bad_config, 1, "config error"),
     "tx_power_above_0_dbm": (_tx_power_above_0_dbm, 1, "tx_power_dbm"),
     "unknown_evaluation_key": (_unknown_evaluation_key, 1, "kl_direction"),
+    "infinite_signal_variance": (
+        _gp_grid_value("signal_variances", [float("inf")]), 1, "signal_variance must be finite"
+    ),
+    "nan_noise_variance": (
+        _gp_grid_value("noise_variances", [0.05, float("nan")]), 1, "noise_variance must be finite"
+    ),
+    "infinite_length_scale": (
+        _gp_grid_value("length_scales", [5, float("inf")]), 1, "length_scale must be finite"
+    ),
+    "empty_gp_grid_axis": (
+        _gp_grid_value("length_scales", []), 1, "gp_grid.length_scales is empty"
+    ),
+    "unknown_gp_grid_key": (_unknown_gp_grid_key, 1, "unknown gp_grid fields: ['noise_variance']"),
+    "nan_cell_size": (_evaluation_value("cell_size", float("nan")), 1, "evaluation.cell_size"),
+    "nan_sigma_m": (_evaluation_value("sigma_m", float("nan")), 1, "evaluation.sigma_m"),
+    "negative_margin_cells": (_evaluation_value("margin_cells", -5), 1, "evaluation.margin_cells"),
     "missing_csv": (_missing_csv, 2, "no_such_survey.csv"),
     "corrupt_pipeline_json": (_corrupt_pipeline_json, 2, "pipeline_input.json"),
     "v1_pipeline": (_v1_pipeline, 2, "format_version"),

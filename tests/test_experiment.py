@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rss_atlas import autoencoder as ae
+from rss_atlas import dataset as dsm
 from rss_atlas import experiment as ex
 from rss_atlas import gp_map, localization as loc, pca
 from rss_atlas.errors import ConfigError, DataError, RssAtlasError
@@ -62,6 +63,33 @@ class TestConfigParsing:
             ex.config_from_dict(
                 {"seed": 1, "output_dir": "o", "dataset": {"synth": {}},
                  "evaluation": {"cell_size": 2.0, key: "estimated-to-ideal"}}
+            )
+
+    @pytest.mark.parametrize("axis", ["length_scales", "signal_variances", "noise_variances"])
+    def test_empty_gp_grid_axis(self, axis):
+        grid = {"length_scales": [5], "signal_variances": [1.0], "noise_variances": [0.1], axis: []}
+        with pytest.raises(ConfigError, match=f"gp_grid.{axis} is empty"):
+            ex.config_from_dict(
+                {"seed": 1, "output_dir": "o", "dataset": {"synth": {}}, "gp_grid": grid}
+            )
+
+    def test_unknown_gp_grid_field(self):
+        grid = {"length_scales": [5], "signal_variances": [1.0], "noise_variances": [0.1],
+                "noise_variance": [0.5]}
+        with pytest.raises(ConfigError, match="unknown gp_grid fields: \\['noise_variance'\\]"):
+            ex.config_from_dict(
+                {"seed": 1, "output_dir": "o", "dataset": {"synth": {}}, "gp_grid": grid}
+            )
+
+    @pytest.mark.parametrize("key,value", [
+        ("cell_size", math.nan), ("cell_size", math.inf), ("cell_size", 0.0),
+        ("sigma_m", math.nan), ("sigma_m", -1.0), ("margin_cells", -5),
+    ])
+    def test_evaluation_values_checked(self, key, value):
+        with pytest.raises(ConfigError, match=f"evaluation.{key} must be"):
+            ex.config_from_dict(
+                {"seed": 1, "output_dir": "o", "dataset": {"synth": {}},
+                 "evaluation": {key: value}}
             )
 
     def test_malformed_values_become_config_errors(self):
@@ -228,6 +256,34 @@ class TestBuildPipeline:
         latents = pipe.encode(train_norm.Z)
         assert np.abs(latents.mean(axis=0)).max() < 1e-9
         assert np.abs(latents.std(axis=0) - 1.0).max() < 1e-9
+
+    def test_run_train_matches_one_pipeline_at_a_time(self, tmp_path):
+        """The shared search writes the bytes a separate search per compressor gives."""
+        doc = {
+            "seed": 5, "output_dir": str(tmp_path),
+            "dataset": {"synth": {"area": [60, 60], "n_aps": 12, "sample_spacing_m": 1.5}},
+            "gp_grid": {"length_scales": [10, 2, 5], "signal_variances": [0.5, 1.0],
+                        "noise_variances": [0.01, 0.1]},
+            "compressors": [
+                {"kind": "identity"},
+                {"kind": "pca", "latent_dim": 3},
+                {"kind": "distance_ae",
+                 "train": {"latent_dim": 3, "hidden_dim": 8, "epochs": 5, "batch_size": 16}},
+            ],
+        }
+        cfg = ex.config_from_dict(doc)
+        labels = ex.run_train(cfg)
+        full = ex.obtain_dataset(cfg)
+        train_raw, _ = dsm.split(full, cfg.test_fraction, cfg.seed + 1, cfg.split_mode)
+        train_norm, _ = dsm.normalize(train_raw)
+        for spec, label in zip(cfg.compressors, labels):
+            comp, _ = ex.build_compressor(spec, train_norm, cfg)
+            alone = ex.build_pipeline(label, comp, train_norm, cfg.gp_grid)
+            want = json.dumps(ex.pipeline_to_dict(alone), indent=1)
+            assert (tmp_path / f"pipeline_{label}.json").read_text() == want
+        stages = json.loads((tmp_path / "manifest.json").read_text())["stage_seconds"]
+        assert list(stages) == ["dataset", "train:input", "train:pca3", "train:distance_ae",
+                                "gp_search", "write"]
 
     def test_pca_dim_clipped_to_ap_count(self, train_norm):
         spec = ex.CompressorSpec(kind="pca", latent_dim=500)

@@ -1,11 +1,12 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rss_atlas import gp_map
-from rss_atlas.errors import ConfigError, DataError
+from rss_atlas.errors import ConfigError, DataError, GpFitError
 from rss_atlas.gp_map import GpHyperparams
 
 
@@ -50,6 +51,13 @@ class TestRbfKernel:
             GpHyperparams(signal_variance=0.0, length_scale=1.0)
         with pytest.raises(ConfigError):
             GpHyperparams(signal_variance=1.0, length_scale=-1.0)
+
+    @pytest.mark.parametrize("field", ["signal_variance", "length_scale", "noise_variance"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_hyperparams_rejected(self, field, value):
+        kwargs = {"signal_variance": 1.0, "length_scale": 1.0, "noise_variance": 0.1, field: value}
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            GpHyperparams(**kwargs)
 
 
 def broadcast_sq_dists(A, B):
@@ -278,6 +286,158 @@ class TestSelectHyperparams:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             gp_map.select_hyperparams(np.zeros((1, 2)), np.zeros(1), [])
+
+
+def oracle_fits(X, Ys, grid):
+    """Reference search: per target, the argmax of log_marginal_likelihood
+    over the grid (ties to the smaller length scale, then the earlier
+    position), refitted with `fit`."""
+    models = []
+    for Y in Ys:
+        best, best_ev = None, -np.inf
+        for hp in grid:
+            try:
+                ev = gp_map.log_marginal_likelihood(X, Y, hp)
+            except GpFitError:
+                continue
+            if best is None or ev > best_ev or (
+                ev == best_ev and hp.length_scale < best.length_scale
+            ):
+                best, best_ev = hp, ev
+        if best is None:
+            raise GpFitError("no candidate factors")
+        models.append(gp_map.fit(X, Y, best))
+    return models
+
+
+def gp_targets(rng, X, widths_and_scales):
+    """Targets drawn from the GP prior, one matrix per (width, length scale)."""
+    Ys = []
+    for d, l in widths_and_scales:
+        K = gp_map.gram_matrix(X, GpHyperparams(1.0, l, 0.05))
+        Ys.append(np.linalg.cholesky(K) @ rng.normal(size=(X.shape[0], d)))
+    return Ys
+
+
+def assert_same_maps(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.hyperparams == w.hyperparams
+        assert np.array_equal(g.chol_factor, w.chol_factor)
+        assert np.array_equal(g.W, w.W)
+        assert np.array_equal(g.X_train, w.X_train)
+
+
+# Length scales deliberately not grouped, so the unit kernel is rebuilt on
+# every change, including back to a value seen before.
+UNGROUPED_GRID = [
+    GpHyperparams(s2, l, n2)
+    for l in (5.0, 2.0, 5.0, 12.0)
+    for s2 in (0.5, 1.0)
+    for n2 in (0.0, 0.05, 0.2)
+]
+
+
+class TestFitByEvidence:
+    @pytest.fixture()
+    def survey(self, rng):
+        # The duplicated location makes every noise-free candidate need the jitter retry.
+        X = rng.uniform(0, 40, size=(70, 2))
+        X[1] = X[0]
+        Ys = gp_targets(rng, X, [(1, 2.0), (3, 5.0), (7, 12.0)])
+        Ys.append(0.3 * rng.normal(size=(70, 2)))  # pure noise: prefers the largest noise
+        return X, Ys
+
+    def test_matches_per_target_oracle(self, survey):
+        X, Ys = survey
+        got = gp_map.fit_by_evidence(X, Ys, UNGROUPED_GRID)
+        assert_same_maps(got, oracle_fits(X, Ys, UNGROUPED_GRID))
+        # The targets do not all pick the same candidate.
+        assert len({m.hyperparams for m in got}) > 1
+
+    def test_jitter_candidate_matches_oracle(self, survey):
+        X, Ys = survey
+        hp = GpHyperparams(1.0, 5.0, 0.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(gp_map.gram_matrix(X, hp))
+        got = gp_map.fit_by_evidence(X, Ys, [hp])
+        assert all(m.hyperparams == hp for m in got)
+        assert_same_maps(got, oracle_fits(X, Ys, [hp]))
+
+    def test_non_pd_candidates_skipped(self, survey, monkeypatch):
+        X, Ys = survey
+        winners = {m.hyperparams for m in gp_map.fit_by_evidence(X, Ys, UNGROUPED_GRID)}
+        real = gp_map._cholesky_with_jitter
+
+        def refuse_winners(K, hp):
+            if hp in winners:
+                raise GpFitError("not positive definite")
+            return real(K, hp)
+
+        monkeypatch.setattr(gp_map, "_cholesky_with_jitter", refuse_winners)
+        got = gp_map.fit_by_evidence(X, Ys, UNGROUPED_GRID)
+        assert not winners & {m.hyperparams for m in got}
+        assert_same_maps(got, oracle_fits(X, Ys, UNGROUPED_GRID))
+
+    def test_all_non_pd_raises(self, survey, monkeypatch):
+        X, Ys = survey
+
+        def refuse(K, hp):
+            raise GpFitError("not positive definite")
+
+        monkeypatch.setattr(gp_map, "_cholesky_with_jitter", refuse)
+        with pytest.raises(GpFitError, match="every hyperparameter candidate"):
+            gp_map.fit_by_evidence(X, Ys, UNGROUPED_GRID)
+
+    def test_exact_ties(self):
+        # One location and zero targets: the evidence depends only on the
+        # total variance, so a, b and c tie exactly.
+        X = np.array([[0.0, 0.0]])
+        Ys = [np.zeros((1, 1)), np.zeros((1, 4))]
+        a = GpHyperparams(signal_variance=1.0, length_scale=5.0, noise_variance=0.0)
+        b = GpHyperparams(signal_variance=0.5, length_scale=2.0, noise_variance=0.5)
+        c = GpHyperparams(signal_variance=0.5, length_scale=5.0, noise_variance=0.5)
+        for grid, winner in (([a, b], b), ([b, a], b), ([a, c], a), ([c, a], c), ([c, a, b], b)):
+            got = gp_map.fit_by_evidence(X, Ys, grid)
+            assert [m.hyperparams for m in got] == [winner, winner]
+            assert_same_maps(got, oracle_fits(X, Ys, grid))
+
+    def test_select_hyperparams_is_the_one_target_search(self, survey):
+        X, Ys = survey
+        for Y in Ys:
+            want = oracle_fits(X, [Y], UNGROUPED_GRID)[0].hyperparams
+            assert gp_map.select_hyperparams(X, Y, UNGROUPED_GRID) == want
+
+    def test_reloaded_factor_equals_search_factor(self, survey):
+        X, Ys = survey
+        grid = UNGROUPED_GRID + [GpHyperparams(1.0, 5.0, 0.0)]
+        for model in gp_map.fit_by_evidence(X, Ys, grid) + gp_map.fit_by_evidence(X, Ys, grid[-1:]):
+            back = gp_map.model_from_dict(json.loads(json.dumps(gp_map.model_to_dict(model))))
+            assert np.array_equal(back.chol_factor, model.chol_factor)
+            assert np.array_equal(back.W, model.W)
+
+    def test_bad_target_shape_is_data_error(self, survey):
+        X, Ys = survey
+        with pytest.raises(DataError, match="rows"):
+            gp_map.fit_by_evidence(X, [Ys[0], Ys[1][:-1]], UNGROUPED_GRID)
+
+    def test_memory_bound(self, rng):
+        # Each target keeps its winning factor; beyond those the search holds
+        # at most the unit kernel, one Gram matrix and one new factor (plus
+        # the distance temporaries while a unit kernel is built).
+        n = 300
+        X = rng.uniform(0, 60, size=(n, 2))
+        X[1] = X[0]
+        Ys = gp_targets(rng, X, [(1, 2.0), (2, 5.0), (4, 12.0)])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            models = gp_map.fit_by_evidence(X, Ys, UNGROUPED_GRID)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len({id(m.chol_factor) for m in models}) > 1
+        assert peak <= (len(Ys) + 4) * n * n * 8
 
 
 class TestSerialization:
