@@ -15,14 +15,15 @@ the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .dataset import SurveyDataset, NormalizationStats
 from .errors import ConfigError, DataError, TrainingDivergedError
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 BN_EPS = 1e-5
 
 PARAM_KEYS = (
@@ -101,7 +102,6 @@ class TrainConfig:
     hidden_dim: int = 60
     lambda_r: float = 1e-4
     lambda_d: float = 1e-3
-    distance_mode: str = "squared"  # "squared" compares squared distances, "absolute" plain ones
     batch_size: int = 64
     epochs: int = 2000
     learning_rate: float = 1e-3
@@ -113,18 +113,28 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool):
+                raise ConfigError(f"{f.name} must be a number, got {value!r}")
+            if isinstance(f.default, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+            if isinstance(f.default, int) and not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         if self.latent_dim < 1 or self.hidden_dim < 1:
             raise ConfigError("latent_dim and hidden_dim must be >= 1")
         if self.lambda_r < 0 or self.lambda_d < 0:
             raise ConfigError("loss weights must be >= 0")
-        if self.distance_mode not in ("squared", "absolute"):
-            raise ConfigError(f"unknown distance_mode {self.distance_mode!r}")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2 (batch norm needs it)")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if not self.learning_rate > 0:
             raise ConfigError("learning_rate must be > 0")
+        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
+            raise ConfigError("adam_beta1 and adam_beta2 must lie in [0, 1)")
+        if not self.adam_eps > 0:
+            raise ConfigError("adam_eps must be > 0")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must lie in [0, 1)")
         if not 0.0 < self.bn_momentum < 1.0:
@@ -272,79 +282,51 @@ def _pairwise_sq_dists(P: np.ndarray) -> np.ndarray:
     return D
 
 
-def _distance_loss_from(Dz: np.ndarray, Dl: np.ndarray, lambda_d: float, mode: str) -> float:
+def _distance_loss_from(Dz: np.ndarray, Dl: np.ndarray, lambda_d: float) -> float:
     """Isometry penalty from input (Dz) and latent (Dl) squared distances."""
-    if mode == "squared":
-        diff = Dz - Dl
-    elif mode == "absolute":
-        diff = np.sqrt(Dz) - np.sqrt(Dl)
-    else:
-        raise ConfigError(f"unknown distance mode {mode!r}")
+    diff = Dz - Dl
     return float(lambda_d * np.sum(diff * diff))
 
 
 def _distance_grad_from(
-    Dz: np.ndarray, Dl: np.ndarray, latent: np.ndarray, lambda_d: float, mode: str
+    Dz: np.ndarray, Dl: np.ndarray, latent: np.ndarray, lambda_d: float
 ) -> np.ndarray:
     """d _distance_loss_from / d latent, given the distances it was computed from.
 
-    For the squared mode each unordered pair appears twice in the ordered
-    sum, which doubles the textbook single-count gradient:
+    Each unordered pair appears twice in the ordered sum, which doubles the
+    textbook single-count gradient:
     g_k = 8 * lambda_d * sum_j (|l_k-l_j|^2 - |z_k-z_j|^2) (l_k - l_j).
     """
-    if mode == "squared":
-        coef = Dl - Dz  # symmetric
-        return 8.0 * lambda_d * (coef.sum(axis=1)[:, None] * latent - coef @ latent)
-    dz = np.sqrt(Dz)
-    dl = np.sqrt(Dl)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coef = np.where(dl > 0.0, (dl - dz) / dl, 0.0)
-    return 4.0 * lambda_d * (coef.sum(axis=1)[:, None] * latent - coef @ latent)
+    coef = Dl - Dz  # symmetric
+    return 8.0 * lambda_d * (coef.sum(axis=1)[:, None] * latent - coef @ latent)
 
 
-def distance_loss(
-    z: np.ndarray, latent: np.ndarray, lambda_d: float, mode: str = "squared"
-) -> float:
-    """Isometry penalty over all ordered row pairs of the batch.
-
-    squared mode penalizes (|z_i-z_j|^2 - |l_i-l_j|^2)^2, which is smooth
-    everywhere; absolute mode penalizes (|z_i-z_j| - |l_i-l_j|)^2.
-    """
+def distance_loss(z: np.ndarray, latent: np.ndarray, lambda_d: float) -> float:
+    """Isometry penalty: (|z_i-z_j|^2 - |l_i-l_j|^2)^2 summed over all ordered row pairs."""
     if z.shape[0] != latent.shape[0]:
         raise DataError("z and latent must have equal batch sizes")
-    return _distance_loss_from(
-        _pairwise_sq_dists(z), _pairwise_sq_dists(latent), lambda_d, mode
-    )
+    return _distance_loss_from(_pairwise_sq_dists(z), _pairwise_sq_dists(latent), lambda_d)
 
 
 def total_loss(z, latent, z_hat, config: TrainConfig) -> float:
     return (
         reconstruction_loss(z, z_hat)
         + sparsity_loss(latent, config.lambda_r)
-        + distance_loss(z, latent, config.lambda_d, config.distance_mode)
-    )
-
-
-def _distance_loss_grad(z, latent, lambda_d, mode) -> np.ndarray:
-    """d distance_loss / d latent (see _distance_grad_from)."""
-    if lambda_d == 0.0:
-        return np.zeros_like(latent)
-    return _distance_grad_from(
-        _pairwise_sq_dists(z), _pairwise_sq_dists(latent), latent, lambda_d, mode
+        + distance_loss(z, latent, config.lambda_d)
     )
 
 
 def _half_backward(hidden: LayerParams, head: LayerParams, cache, g_out):
-    """Backprop through one half; returns (grad wrt half input, tensor grads)."""
+    """Backprop through one half; returns (grad wrt half input, tensor grads).
+
+    Tensor grads come in PARAM_KEYS order (hidden w, b, bn_gamma, bn_beta, head w, b).
+    """
     d = cache["d"]
     g_head_w = g_out.T @ d
     g_head_b = g_out.sum(axis=0)
     g_d = g_out @ head.weights
 
-    if cache["mask"] is not None:
-        g_y = g_d * cache["mask"]
-    else:
-        g_y = g_d
+    g_y = g_d if cache["mask"] is None else g_d * cache["mask"]
     xhat = cache["xhat"]
     g_gamma = np.sum(g_y * xhat, axis=0)
     g_beta = np.sum(g_y, axis=0)
@@ -366,12 +348,7 @@ def _half_backward(hidden: LayerParams, head: LayerParams, cache, g_out):
     g_hidden_w = g_a.T @ x
     g_hidden_b = g_a.sum(axis=0)
     g_x = g_a @ hidden.weights
-    grads = {
-        "weights": g_hidden_w, "biases": g_hidden_b,
-        "bn_gamma": g_gamma, "bn_beta": g_beta,
-        "head.weights": g_head_w, "head.biases": g_head_b,
-    }
-    return g_x, grads
+    return g_x, (g_hidden_w, g_hidden_b, g_gamma, g_beta, g_head_w, g_head_b)
 
 
 def _backward_from_cache(
@@ -385,33 +362,17 @@ def _backward_from_cache(
     """
     latent, recon = cache["latent"], cache["recon"]
     g_recon = 2.0 * (recon - batch)
-    g_latent_dec, dec_grads = _half_backward(params.dec_hidden, params.dec_out, cache["dec"], g_recon)
+    g_latent_dec, dec = _half_backward(params.dec_hidden, params.dec_out, cache["dec"], g_recon)
     g_latent = g_latent_dec + config.lambda_r * np.sign(latent)
     if g_dist is not None:
         g_latent = g_latent + g_dist
-    _, enc_grads = _half_backward(params.enc_hidden, params.enc_out, cache["enc"], g_latent)
-    return {
-        "enc_hidden.weights": enc_grads["weights"],
-        "enc_hidden.biases": enc_grads["biases"],
-        "enc_hidden.bn_gamma": enc_grads["bn_gamma"],
-        "enc_hidden.bn_beta": enc_grads["bn_beta"],
-        "enc_out.weights": enc_grads["head.weights"],
-        "enc_out.biases": enc_grads["head.biases"],
-        "dec_hidden.weights": dec_grads["weights"],
-        "dec_hidden.biases": dec_grads["biases"],
-        "dec_hidden.bn_gamma": dec_grads["bn_gamma"],
-        "dec_hidden.bn_beta": dec_grads["bn_beta"],
-        "dec_out.weights": dec_grads["head.weights"],
-        "dec_out.biases": dec_grads["head.biases"],
-    }
+    _, enc = _half_backward(params.enc_hidden, params.enc_out, cache["enc"], g_latent)
+    return dict(zip(PARAM_KEYS, enc + dec))
 
 
 def gradients(
-    params: AutoencoderParams,
-    batch: np.ndarray,
-    config: TrainConfig,
-    seed: int = 0,
-    mode: str = "training",
+    params: AutoencoderParams, batch: np.ndarray, config: TrainConfig,
+    seed: int = 0, mode: str = "training",
 ) -> dict[str, np.ndarray]:
     """Analytic gradient of total_loss for every parameter tensor.
 
@@ -421,10 +382,8 @@ def gradients(
     statistics as constants and uses no dropout.
     """
     batch = np.asarray(batch, dtype=float)
-    dropout = config.dropout_rate if mode == "training" else 0.0
-    latent, _, cache = forward(params, batch, mode=mode, seed=seed, dropout_rate=dropout)
-    g_dist = _distance_loss_grad(batch, latent, config.lambda_d, config.distance_mode)
-    return _backward_from_cache(params, batch, config, cache, g_dist)
+    Dz = _pairwise_sq_dists(batch) if config.lambda_d != 0.0 else None
+    return _training_step(params, batch, Dz, config.lambda_d, config, seed, mode)[1]
 
 
 def _update_running_stats(layer: LayerParams, cache, momentum: float) -> None:
@@ -433,29 +392,24 @@ def _update_running_stats(layer: LayerParams, cache, momentum: float) -> None:
 
 
 def _training_step(
-    params: AutoencoderParams,
-    batch: np.ndarray,
-    Dz: np.ndarray | None,
-    lambda_d: float,
-    config: TrainConfig,
-    seed: int,
+    params: AutoencoderParams, batch: np.ndarray, Dz: np.ndarray | None, lambda_d: float,
+    config: TrainConfig, seed: int, mode: str = "training",
 ) -> tuple[tuple[float, float, float], dict[str, np.ndarray], dict]:
-    """One training-mode forward and backward pass over a minibatch.
+    """One forward pass in `mode` (see gradients) and its backward pass.
 
     Dz holds the batch's input-space squared distances and lambda_d the
     distance weight used for this batch; with Dz None the distance term is
-    skipped and reported as 0.0. The latent distances are computed once and
-    feed both the loss and its gradient. Returns the (recon, sparsity,
-    distance) losses, the gradients and the forward cache.
+    skipped and reported as 0.0. Returns the (recon, sparsity, distance)
+    losses, the gradients and the forward cache.
     """
     latent, recon, cache = forward(
-        params, batch, mode="training", seed=seed, dropout_rate=config.dropout_rate,
+        params, batch, mode=mode, seed=seed, dropout_rate=config.dropout_rate,
     )
     dist, g_dist = 0.0, None
     if Dz is not None:
         Dl = _pairwise_sq_dists(latent)
-        dist = _distance_loss_from(Dz, Dl, lambda_d, config.distance_mode)
-        g_dist = _distance_grad_from(Dz, Dl, latent, lambda_d, config.distance_mode)
+        dist = _distance_loss_from(Dz, Dl, lambda_d)
+        g_dist = _distance_grad_from(Dz, Dl, latent, lambda_d)
     losses = (reconstruction_loss(batch, recon), sparsity_loss(latent, config.lambda_r), dist)
     return losses, _backward_from_cache(params, batch, config, cache, g_dist), cache
 
@@ -469,13 +423,16 @@ def train(
 
     The distance weight is divided by the square of each minibatch's size
     so the pairwise sum does not grow with batch size. Passing the
-    normalization stats adds a dBm-scale RMSE to the report.
+    normalization stats adds a dBm-scale RMSE to the report. The trained
+    tensors are views of one vector theta, so an Adam step is five vector
+    operations with Adam's per-element formulas.
 
     Input rows do not change between epochs, so when lambda_d is nonzero
     their n x n squared distances are computed once per call (8*n^2 bytes:
     1.4 MB at 418 rows) and each step indexes its batch out of them. With
     lambda_d 0 no distances are computed and every distance loss is 0.0;
-    a diverging latent still shows as a non-finite sparsity total.
+    a diverging latent still shows as a non-finite sparsity total. A
+    non-finite epoch total raises, so overflow warnings are silenced.
     """
     if not ds.normalized:
         raise DataError("train expects a normalized dataset")
@@ -489,49 +446,51 @@ def train(
     Dz = _pairwise_sq_dists(Z) if config.lambda_d != 0.0 else None
 
     rng = np.random.default_rng(config.seed)
-    adam_m = {k: np.zeros_like(params.get_tensor(k)) for k in PARAM_KEYS}
-    adam_v = {k: np.zeros_like(params.get_tensor(k)) for k in PARAM_KEYS}
+    theta = np.concatenate([params.get_tensor(k).ravel() for k in PARAM_KEYS])
+    ends = np.cumsum([params.get_tensor(k).size for k in PARAM_KEYS])[:-1]
+    for key, view in zip(PARAM_KEYS, np.split(theta, ends)):
+        params.set_tensor(key, view.reshape(params.get_tensor(key).shape))
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
     step = 0
     b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
 
-    for epoch in range(config.epochs):
-        perm = rng.permutation(ds.n)
-        ep_recon = ep_sparse = ep_dist = 0.0
-        for start in range(0, ds.n, config.batch_size):
-            idx = perm[start:start + config.batch_size]
-            if idx.size < 2:
-                continue  # batch norm is undefined on a single row
-            mask_seed = int(rng.integers(0, 2**63 - 1))
-            (recon, sparse, dist), grads, cache = _training_step(
-                params, Z[idx], None if Dz is None else Dz[np.ix_(idx, idx)],
-                config.lambda_d / float(idx.size) ** 2, config, mask_seed,
-            )
-            ep_recon += recon
-            ep_sparse += sparse
-            ep_dist += dist
-            _update_running_stats(params.enc_hidden, cache["enc"], config.bn_momentum)
-            _update_running_stats(params.dec_hidden, cache["dec"], config.bn_momentum)
-
-            step += 1
-            scale = config.learning_rate * math.sqrt(1.0 - b2**step) / (1.0 - b1**step)
-            for key in PARAM_KEYS:
-                g = grads[key]
-                adam_m[key] = b1 * adam_m[key] + (1.0 - b1) * g
-                adam_v[key] = b2 * adam_v[key] + (1.0 - b2) * (g * g)
-                tensor = params.get_tensor(key)
-                params.set_tensor(
-                    key, tensor - scale * adam_m[key] / (np.sqrt(adam_v[key]) + eps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            perm = rng.permutation(ds.n)
+            ep_recon = ep_sparse = ep_dist = 0.0
+            for start in range(0, ds.n, config.batch_size):
+                idx = perm[start:start + config.batch_size]
+                if idx.size < 2:
+                    continue  # batch norm is undefined on a single row
+                mask_seed = int(rng.integers(0, 2**63 - 1))
+                (recon, sparse, dist), grads, cache = _training_step(
+                    params, Z[idx], None if Dz is None else Dz[np.ix_(idx, idx)],
+                    config.lambda_d / float(idx.size) ** 2, config, mask_seed,
                 )
+                ep_recon += recon
+                ep_sparse += sparse
+                ep_dist += dist
+                _update_running_stats(params.enc_hidden, cache["enc"], config.bn_momentum)
+                _update_running_stats(params.dec_hidden, cache["dec"], config.bn_momentum)
 
-        total = ep_recon + ep_sparse + ep_dist
-        if not math.isfinite(total):
-            raise TrainingDivergedError(
-                f"non-finite training loss at epoch {epoch + 1} "
-                f"(recon={ep_recon:g}, sparsity={ep_sparse:g}, distance={ep_dist:g})"
-            )
-        report.recon_losses.append(ep_recon)
-        report.sparsity_losses.append(ep_sparse)
-        report.distance_losses.append(ep_dist)
+                step += 1
+                scale = config.learning_rate * math.sqrt(1.0 - b2**step) / (1.0 - b1**step)
+                g = np.concatenate([grads[k].ravel() for k in PARAM_KEYS])
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * (g * g)
+                theta -= (scale * m) / (np.sqrt(v) + eps)
+
+            total = ep_recon + ep_sparse + ep_dist
+            if not math.isfinite(total):
+                raise TrainingDivergedError(
+                    f"non-finite training loss at epoch {epoch + 1} "
+                    f"(recon={ep_recon:g}, sparsity={ep_sparse:g}, distance={ep_dist:g})"
+                )
+            report.recon_losses.append(ep_recon)
+            report.sparsity_losses.append(ep_sparse)
+            report.distance_losses.append(ep_dist)
 
     report.final_rmse = reconstruction_rmse(params, Z)
     if stats is not None:
@@ -611,6 +570,7 @@ def params_from_dict(doc: dict) -> AutoencoderParams:
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise DataError(
             f"unsupported autoencoder format_version {doc.get('format_version')!r}"
+            f" (expected {MODEL_FORMAT_VERSION}; rerun train to rewrite the file)"
         )
     cfg = TrainConfig(**doc["train_config"]) if "train_config" in doc else None
     return AutoencoderParams(

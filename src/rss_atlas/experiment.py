@@ -152,13 +152,14 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
     A field of the wrong JSON type surfaces from the parsing code as a
     KeyError, TypeError, ValueError, AttributeError (a list where a section
-    dict belongs) or OverflowError (an infinite integer field).
+    dict belongs), IndexError (a waypoint with fewer than two coordinates)
+    or OverflowError (an infinite integer field).
     """
     try:
         return _config_from_dict(doc)
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError, OverflowError) as exc:
         raise ConfigError(f"malformed config: {exc!r}") from None
 
 
@@ -434,7 +435,7 @@ def _load_artifact(path: str, parse):
             return parse(json.load(fh))
     except (DataError, ConfigError) as exc:
         raise DataError(f"{path}: {exc}") from None
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise DataError(f"{path}: corrupt or unreadable artifact: {exc!r}") from None
 
 
@@ -446,11 +447,15 @@ def run_synth(cfg: ExperimentConfig, out_path: str) -> None:
     ds_mod.save_csv(ds, out_path)
 
 
-def run_train(cfg: ExperimentConfig) -> list[str]:
-    """Split the survey, build every compressor, fit all GP maps in one search, save artifacts."""
+def run_train(cfg: ExperimentConfig, manifest: Manifest | None = None) -> list[str]:
+    """Split the survey, build every compressor, fit all GP maps in one search, save artifacts.
+
+    A caller that passes `manifest` writes it; otherwise this writes manifest.json.
+    """
     outdir = cfg.output_dir
     os.makedirs(outdir, exist_ok=True)
-    manifest = Manifest(cfg)
+    own_manifest = manifest is None
+    manifest = manifest or Manifest(cfg)
 
     full = obtain_dataset(cfg)
     train_raw, test_raw = ds_mod.split(full, cfg.test_fraction, cfg.seed + _SPLIT_SEED_OFFSET, cfg.split_mode)
@@ -503,14 +508,16 @@ def run_train(cfg: ExperimentConfig) -> list[str]:
     atomic_write_text(os.path.join(outdir, "training_summary.csv"), "\n".join(summary_lines) + "\n")
     manifest.artifact("training_summary.csv")
     manifest.stage("write")
-    manifest.write(outdir)
+    if own_manifest:
+        manifest.write(outdir)
     return [label for _, label, _, _ in built]
 
 
-def run_evaluate(cfg: ExperimentConfig) -> list[loc.EvalResult]:
-    """Score saved pipelines on the saved test split."""
+def run_evaluate(cfg: ExperimentConfig, manifest: Manifest | None = None) -> list[loc.EvalResult]:
+    """Score saved pipelines on the saved test split; `manifest` as in run_train."""
     outdir = cfg.output_dir
-    manifest = Manifest(cfg)
+    own_manifest = manifest is None
+    manifest = manifest or Manifest(cfg)
     for name in ("train.csv", "test.csv", "norm_stats.json"):
         if not os.path.exists(os.path.join(outdir, name)):
             raise DataError(f"missing artifact {os.path.join(outdir, name)}; run train first")
@@ -554,18 +561,23 @@ def run_evaluate(cfg: ExperimentConfig) -> list[loc.EvalResult]:
     atomic_write_text(os.path.join(outdir, "summary.csv"), "\n".join(summary_lines) + "\n")
     manifest.artifact("summary.csv")
     manifest.stage("report")
-    manifest.write(outdir)
+    if own_manifest:
+        manifest.write(outdir)
     return results
 
 
 def run_compare(cfg: ExperimentConfig) -> list[loc.EvalResult]:
-    """Train and evaluate the standard five pipelines, then rank them."""
+    """Train and evaluate the standard five pipelines, rank them, write one manifest."""
     cfg = replace(cfg, compressors=default_compare_compressors(cfg))
-    run_train(cfg)
-    results = run_evaluate(cfg)
+    manifest = Manifest(cfg)
+    run_train(cfg, manifest)
+    results = run_evaluate(cfg, manifest)
     ranked = sorted(results, key=lambda r: r.mean_kl)
     lines = ["rank,label,mean_kl,mean_argmax_error_m"]
     for rank, r in enumerate(ranked, 1):
         lines.append(f"{rank},{r.label},{r.mean_kl!r},{r.mean_argmax_error_m!r}")
     atomic_write_text(os.path.join(cfg.output_dir, "ranking.csv"), "\n".join(lines) + "\n")
+    manifest.artifact("ranking.csv")
+    manifest.stage("rank")
+    manifest.write(cfg.output_dir)
     return results

@@ -163,18 +163,6 @@ class TestLosses:
                 want += (dz - dl) ** 2
         assert ae.distance_loss(z, latent, lam) == pytest.approx(lam * want, rel=1e-12)
 
-    def test_distance_absolute_mode_brute_force(self, rng):
-        z = rng.normal(size=(5, 4))
-        latent = rng.normal(size=(5, 2))
-        want = 0.0
-        for i in range(5):
-            for j in range(5):
-                dz = math.sqrt(np.sum((z[i] - z[j]) ** 2))
-                dl = math.sqrt(np.sum((latent[i] - latent[j]) ** 2))
-                want += (dz - dl) ** 2
-        got = ae.distance_loss(z, latent, 1.0, mode="absolute")
-        assert got == pytest.approx(want, rel=1e-12)
-
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=15, deadline=None)
     def test_distance_permutation_invariant(self, seed):
@@ -234,7 +222,8 @@ class TestGradients:
         z = rng.normal(size=(3, 4))
         latent = rng.normal(size=(3, 2))
         lam = 0.7
-        got = ae._distance_loss_grad(z, latent, lam, "squared")
+        Dz, Dl = ae._pairwise_sq_dists(z), ae._pairwise_sq_dists(latent)
+        got = ae._distance_grad_from(Dz, Dl, latent, lam)
         want = np.zeros_like(latent)
         for k in range(3):
             for j in range(3):
@@ -246,19 +235,19 @@ class TestGradients:
     def test_distance_gradient_by_finite_differences(self, rng):
         z = rng.normal(size=(4, 5))
         latent = rng.normal(size=(4, 2))
-        for mode in ("squared", "absolute"):
-            got = ae._distance_loss_grad(z, latent, 0.9, mode)
-            fd = np.zeros_like(latent)
-            for i in range(4):
-                for j in range(2):
-                    orig = latent[i, j]
-                    latent[i, j] = orig + 1e-6
-                    lp = ae.distance_loss(z, latent, 0.9, mode)
-                    latent[i, j] = orig - 1e-6
-                    lm = ae.distance_loss(z, latent, 0.9, mode)
-                    latent[i, j] = orig
-                    fd[i, j] = (lp - lm) / 2e-6
-            np.testing.assert_allclose(got, fd, rtol=1e-4, atol=1e-7)
+        Dz, Dl = ae._pairwise_sq_dists(z), ae._pairwise_sq_dists(latent)
+        got = ae._distance_grad_from(Dz, Dl, latent, 0.9)
+        fd = np.zeros_like(latent)
+        for i in range(4):
+            for j in range(2):
+                orig = latent[i, j]
+                latent[i, j] = orig + 1e-6
+                lp = ae.distance_loss(z, latent, 0.9)
+                latent[i, j] = orig - 1e-6
+                lm = ae.distance_loss(z, latent, 0.9)
+                latent[i, j] = orig
+                fd[i, j] = (lp - lm) / 2e-6
+        np.testing.assert_allclose(got, fd, rtol=1e-4, atol=1e-7)
 
     def test_dropout_gradient_fixed_mask(self, rng):
         # With an active dropout mask the analytic gradient must match
@@ -284,9 +273,8 @@ class TestPrecomputedDistances:
             idx = rng.permutation(300)[:64]
             assert np.array_equal(Dz[np.ix_(idx, idx)], ae._pairwise_sq_dists(Z[idx]))
 
-    @pytest.mark.parametrize("mode", ["squared", "absolute"])
-    def test_training_step_matches_gradients(self, rng, mode):
-        cfg = ae.TrainConfig(latent_dim=5, hidden_dim=12, distance_mode=mode, seed=2)
+    def test_training_step_matches_gradients(self, rng):
+        cfg = ae.TrainConfig(latent_dim=5, hidden_dim=12, seed=2)
         params = toy_params(rng, input_dim=20, cfg=cfg)
         Z = rng.normal(size=(100, 20))
         Dz = ae._pairwise_sq_dists(Z)
@@ -299,7 +287,7 @@ class TestPrecomputedDistances:
         for key in params.tensor_keys():
             assert np.array_equal(grads[key], want[key]), key
         latent, _, _ = ae.forward(params, Z[idx], "training", seed=7, dropout_rate=cfg.dropout_rate)
-        assert dist == ae.distance_loss(Z[idx], latent, lam, mode)
+        assert dist == ae.distance_loss(Z[idx], latent, lam)
 
     def test_zero_distance_weight_reports_zero_distance_loss(self, small_survey_normalized):
         norm, _ = small_survey_normalized
@@ -309,7 +297,65 @@ class TestPrecomputedDistances:
         assert all(v == 0.0 for v in report.distance_losses)
 
 
+def per_key_adam_train(ds, config):
+    """train as a per-tensor Adam loop over _training_step, before theta existed."""
+    Z = ds.Z
+    params = ae.init_params(ds.m, config)
+    Dz = ae._pairwise_sq_dists(Z) if config.lambda_d != 0.0 else None
+    rng = np.random.default_rng(config.seed)
+    adam_m = {k: np.zeros_like(params.get_tensor(k)) for k in ae.PARAM_KEYS}
+    adam_v = {k: np.zeros_like(params.get_tensor(k)) for k in ae.PARAM_KEYS}
+    b1, b2, eps, mom = config.adam_beta1, config.adam_beta2, config.adam_eps, config.bn_momentum
+    losses, step = [], 0
+    for _ in range(config.epochs):
+        perm = rng.permutation(ds.n)
+        epoch = [0.0, 0.0, 0.0]
+        for start in range(0, ds.n, config.batch_size):
+            idx = perm[start:start + config.batch_size]
+            if idx.size < 2:
+                continue
+            mask_seed = int(rng.integers(0, 2**63 - 1))
+            step_losses, grads, cache = ae._training_step(
+                params, Z[idx], None if Dz is None else Dz[np.ix_(idx, idx)],
+                config.lambda_d / float(idx.size) ** 2, config, mask_seed,
+            )
+            epoch = [a + b for a, b in zip(epoch, step_losses)]
+            for layer, c in ((params.enc_hidden, cache["enc"]), (params.dec_hidden, cache["dec"])):
+                layer.bn_running_mean = mom * layer.bn_running_mean + (1.0 - mom) * c["batch_mean"]
+                layer.bn_running_var = mom * layer.bn_running_var + (1.0 - mom) * c["batch_var"]
+            step += 1
+            scale = config.learning_rate * math.sqrt(1.0 - b2**step) / (1.0 - b1**step)
+            for key in ae.PARAM_KEYS:
+                g = grads[key]
+                adam_m[key] = b1 * adam_m[key] + (1.0 - b1) * g
+                adam_v[key] = b2 * adam_v[key] + (1.0 - b2) * (g * g)
+                tensor = params.get_tensor(key)
+                params.set_tensor(key, tensor - scale * adam_m[key] / (np.sqrt(adam_v[key]) + eps))
+        losses.append(epoch)
+    return params, losses
+
+
 class TestTrain:
+    @pytest.mark.parametrize("lambda_d", [1e-3, 0.0])
+    def test_flat_adam_equals_per_key_adam(self, small_survey_normalized, lambda_d):
+        # 193 rows in 48-row batches leave one row, which is skipped.
+        norm, _ = small_survey_normalized
+        cfg = ae.TrainConfig(
+            latent_dim=4, hidden_dim=12, epochs=3, batch_size=48, lambda_d=lambda_d,
+            dropout_rate=0.2, seed=4,
+        )
+        params, report = ae.train(norm, cfg)
+        want, want_losses = per_key_adam_train(norm, cfg)
+        for key in ae.PARAM_KEYS:
+            assert np.array_equal(params.get_tensor(key), want.get_tensor(key)), key
+        for layer in ("enc_hidden", "dec_hidden"):
+            got, ref = getattr(params, layer), getattr(want, layer)
+            assert np.array_equal(got.bn_running_mean, ref.bn_running_mean)
+            assert np.array_equal(got.bn_running_var, ref.bn_running_var)
+        got_losses = list(zip(report.recon_losses, report.sparsity_losses, report.distance_losses))
+        assert got_losses == [tuple(e) for e in want_losses]
+        assert (lambda_d == 0.0) == all(e[2] == 0.0 for e in want_losses)
+
     def test_zero_epochs_returns_init(self, small_survey_normalized):
         norm, _ = small_survey_normalized
         cfg = ae.TrainConfig(latent_dim=4, hidden_dim=8, epochs=0, batch_size=16, seed=3)
@@ -355,8 +401,6 @@ class TestTrain:
         with pytest.raises(DataError, match="normalized"):
             ae.train(small_survey, ae.TrainConfig(epochs=1, batch_size=16))
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_divergence_reports_epoch(self, small_survey_normalized):
         # Adam steps scale with the learning rate, so a pathological rate
         # overflows the squared losses within the first epochs.
@@ -420,6 +464,16 @@ class TestSerialization:
     def test_wrong_version_rejected(self):
         with pytest.raises(DataError, match="format_version"):
             ae.params_from_dict({"format_version": 42})
+
+    def test_v1_document_rejected(self, rng):
+        # Version 1 stored a distance_mode in train_config.
+        params = toy_params(rng)
+        params.train_config = TOY_CFG
+        doc = ae.params_to_dict(params)
+        doc["format_version"] = 1
+        doc["train_config"]["distance_mode"] = "squared"
+        with pytest.raises(DataError, match="format_version 1 .*rerun train"):
+            ae.params_from_dict(doc)
 
     def test_behavioral_roundtrip(self, rng):
         params = toy_params(rng)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rss_atlas import autoencoder as ae
 from rss_atlas import cli
 from rss_atlas import dataset as dsm
 from rss_atlas import experiment as ex
@@ -311,6 +312,30 @@ def _unknown_gp_grid_key(doc, out):
     return "train"
 
 
+def _ae_train_value(key, value):
+    def setup(doc, out):
+        doc["ae_train"][key] = value
+        return "train"
+    return setup
+
+
+def _autoencoder_pipeline(format_version, **train_config):
+    """Store an autoencoder of `format_version` with `train_config` entries replaced."""
+    def setup(doc, out):
+        path = out / "pipeline_input.json"
+        pipe = json.loads(path.read_text())
+        cfg = ae.TrainConfig(latent_dim=4, hidden_dim=10)
+        params = ae.init_params(12, cfg)
+        params.train_config = cfg
+        model = ae.params_to_dict(params)
+        model["format_version"] = format_version
+        model["train_config"].update(train_config)
+        pipe["compressor"] = {"kind": "autoencoder", "model": model}
+        path.write_text(json.dumps(pipe))
+        return "evaluate"
+    return setup
+
+
 FAILURES = {
     "bad_config": (_bad_config, 1, "config error"),
     "tx_power_above_0_dbm": (_tx_power_above_0_dbm, 1, "tx_power_dbm"),
@@ -331,9 +356,25 @@ FAILURES = {
     "nan_cell_size": (_evaluation_value("cell_size", float("nan")), 1, "evaluation.cell_size"),
     "nan_sigma_m": (_evaluation_value("sigma_m", float("nan")), 1, "evaluation.sigma_m"),
     "negative_margin_cells": (_evaluation_value("margin_cells", -5), 1, "evaluation.margin_cells"),
+    "nan_lambda_d": (_ae_train_value("lambda_d", float("nan")), 1, "lambda_d must be finite"),
+    "infinite_learning_rate": (
+        _ae_train_value("learning_rate", float("inf")), 1, "learning_rate must be finite"
+    ),
+    "adam_beta1_above_1": (_ae_train_value("adam_beta1", 1.5), 1, "adam_beta1"),
+    "zero_adam_eps": (_ae_train_value("adam_eps", 0.0), 1, "adam_eps must be > 0"),
+    "distance_mode_key": (_ae_train_value("distance_mode", "squared"), 1, "distance_mode"),
+    "fractional_epochs": (_ae_train_value("epochs", 2.5), 1, "epochs must be an integer"),
+    "boolean_epochs": (_ae_train_value("epochs", True), 1, "epochs must be a number"),
+    "boolean_lambda_d": (_ae_train_value("lambda_d", False), 1, "lambda_d must be a number"),
     "missing_csv": (_missing_csv, 2, "no_such_survey.csv"),
     "corrupt_pipeline_json": (_corrupt_pipeline_json, 2, "pipeline_input.json"),
     "v1_pipeline": (_v1_pipeline, 2, "format_version"),
+    "v1_autoencoder_pipeline": (
+        _autoencoder_pipeline(1, distance_mode="squared"), 2, "autoencoder format_version 1"
+    ),
+    "huge_int_in_train_config": (
+        _autoencoder_pipeline(2, lambda_d=10**400), 2, "corrupt or unreadable artifact"
+    ),
     "underflowing_test_row": (_underflowing_test_row, 2, "not physical"),
     "overflowing_latent_std": (_overflowing_latent_std, 3, "test point 0"),
 }
@@ -378,6 +419,21 @@ def test_overflow_exit_prints_one_stderr_line(tmp_path, trained_identity):
     assert proc.returncode == 3
     assert len(proc.stderr.splitlines()) == 1
     assert "test point 0" in proc.stderr
+
+
+def test_divergence_exit_prints_one_stderr_line(tmp_path):
+    """A diverging autoencoder exits 3 with the error line and no numpy warning."""
+    doc = tiny_config(tmp_path / "out")
+    doc["ae_train"]["learning_rate"] = 1e160
+    doc["ae_train"]["epochs"] = 3
+    cfg = write_config(tmp_path, doc)
+    proc = subprocess.run(
+        [sys.executable, "-m", "rss_atlas.cli", "compare", "--config", cfg],
+        capture_output=True, text=True, env=_module_env(), timeout=300,
+    )
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1
+    assert "non-finite training loss at epoch" in proc.stderr
 
 
 def test_module_entry_point_prints_no_warning():

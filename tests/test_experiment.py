@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rss_atlas import autoencoder as ae
@@ -198,6 +198,37 @@ class TestManifest:
         assert "one" in doc["stage_seconds"]
         assert len(doc["config_hash"]) == 64
 
+    def test_compare_writes_one_manifest_for_both_commands(self, tmp_path, monkeypatch):
+        doc = {
+            "seed": 4, "output_dir": str(tmp_path),
+            "dataset": {"synth": {"area": [60, 60], "n_aps": 12, "sample_spacing_m": 1.5}},
+            "gp_grid": {"length_scales": [5, 10], "signal_variances": [1.0],
+                        "noise_variances": [0.1]},
+            "evaluation": {"cell_size": 2.0},
+            "ae_train": {"latent_dim": 4, "hidden_dim": 8, "epochs": 2, "batch_size": 16},
+        }
+        writes = []
+        write = ex.atomic_write_text
+
+        def recording_write(path, text):
+            writes.append(os.path.basename(path))
+            write(path, text)
+
+        monkeypatch.setattr(ex, "atomic_write_text", recording_write)
+        ex.run_compare(ex.config_from_dict(doc))
+        assert writes.count("manifest.json") == 1
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        labels = ["input", "pca30", "pca10", "sparse_ae", "distance_ae"]
+        assert list(manifest["stage_seconds"]) == (
+            ["dataset"] + [f"train:{label}" for label in labels]
+            + ["gp_search", "write", "load", "evaluate", "report", "rank"]
+        )
+        assert manifest["artifacts"][:3] == ["train.csv", "test.csv", "norm_stats.json"]
+        assert manifest["artifacts"][-2:] == ["summary.csv", "ranking.csv"]
+        for label in labels:
+            assert f"pipeline_{label}.json" in manifest["artifacts"]
+            assert f"eval_{label}.csv" in manifest["artifacts"]
+
     def test_hash_stable_for_equal_config(self):
         doc = {"seed": 2, "output_dir": "o", "dataset": {"synth": {}}}
         a = ex.config_hash(ex.config_from_dict(doc))
@@ -241,6 +272,7 @@ def _schema_doc():
 
 class TestConfigFuzz:
     @given(st.one_of(_schema_doc(), _JSONISH))
+    @example({"seed": 0, "output_dir": "out", "dataset": {"synth": {"waypoints": {"": None}}}})
     @settings(max_examples=300, deadline=None)
     def test_value_or_package_error(self, doc):
         try:
