@@ -15,13 +15,12 @@ the test suite.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import SurveyDataset, NormalizationStats
-from .errors import ConfigError, DataError, TrainingDivergedError
+from .errors import ConfigError, DataError, TrainingDivergedError, check_numbers
 
 MODEL_FORMAT_VERSION = 2
 BN_EPS = 1e-5
@@ -113,14 +112,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool):
-                raise ConfigError(f"{f.name} must be a number, got {value!r}")
-            if isinstance(f.default, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
-            if isinstance(f.default, int) and not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+        check_numbers(self)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.latent_dim < 1 or self.hidden_dim < 1:
             raise ConfigError("latent_dim and hidden_dim must be >= 1")
         if self.lambda_r < 0 or self.lambda_d < 0:

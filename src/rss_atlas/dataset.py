@@ -15,12 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_number, check_numbers
 from .gp_map import _sq_dists
 
 DEFAULT_FLOOR_DBM = -100.0
 # Thermal noise in 1 Hz at 290 K: no receiver reports a weaker signal.
 MIN_RSS_DBM = -174.0
+SPLIT_MODES = ("random", "block")
 
 # ASCII decimal numbers, which covers repr() of every finite float; [0-9]
 # because \d also matches non-ASCII digits in a str pattern.
@@ -137,7 +138,15 @@ class SynthEnvConfig:
     waypoints: tuple[tuple[float, float], ...] = field(default_factory=_default_waypoints)
     sample_spacing_m: float = 1.55
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        object.__setattr__(self, "area", tuple(self.area))
+        object.__setattr__(self, "waypoints", tuple(tuple(p) for p in self.waypoints))
+        check_numbers(self, "synth.")
+        for name, pair in [("area", self.area)] + [("waypoints", p) for p in self.waypoints]:
+            if len(pair) != 2:
+                raise ConfigError(f"synth.{name} must be a pair of numbers, got {pair!r}")
+            for value in pair:
+                check_number(f"synth.{name}", value)
         w, h = self.area
         if w <= 0 or h <= 0:
             raise ConfigError(f"area sides must be positive, got {self.area}")
@@ -147,12 +156,11 @@ class SynthEnvConfig:
             raise ConfigError(
                 f"path_loss_exponent must lie in [1.5, 6], got {self.path_loss_exponent}"
             )
-        if self.reference_distance_m <= 0:
-            raise ConfigError("reference_distance_m must be positive")
+        for name in ("reference_distance_m", "shadowing_correlation_length_m", "sample_spacing_m"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"synth.{name} must be > 0, got {getattr(self, name)}")
         if self.shadowing_std_dbm < 0:
             raise ConfigError("shadowing_std_dbm must be >= 0")
-        if self.shadowing_correlation_length_m <= 0:
-            raise ConfigError("shadowing_correlation_length_m must be positive")
         if not self.tx_power_dbm <= 0.0:
             raise ConfigError(
                 f"tx_power_dbm must be at most 0 dBm, got {self.tx_power_dbm}"
@@ -163,8 +171,6 @@ class SynthEnvConfig:
             raise ConfigError(f"floor_dbm must be at least {MIN_RSS_DBM:g} dBm")
         if len(self.waypoints) < 1:
             raise ConfigError("trajectory needs at least one waypoint")
-        if self.sample_spacing_m <= 0:
-            raise ConfigError("sample_spacing_m must be positive")
 
 
 def serpentine_waypoints(
@@ -194,8 +200,6 @@ def trajectory_points(
     always including the start. A single waypoint yields one sample.
     """
     wp = np.asarray(waypoints, dtype=float)
-    if wp.ndim != 2 or wp.shape[1] != 2:
-        raise ConfigError("waypoints must be (x, y) pairs")
     if wp.shape[0] == 1:
         return wp.copy()
     seg = np.diff(wp, axis=0)
@@ -219,7 +223,6 @@ def ap_positions(config: SynthEnvConfig, seed: int) -> np.ndarray:
     synthesize draws these positions first from its generator, so this
     helper reproduces them exactly.
     """
-    config.validate()
     rng = np.random.default_rng(seed)
     w, h = config.area
     return rng.uniform(low=[0.0, 0.0], high=[w, h], size=(config.n_aps, 2))
@@ -239,7 +242,6 @@ def synthesize(config: SynthEnvConfig, seed: int) -> SurveyDataset:
     Draw order is fixed: AP positions first, then one standard normal
     vector per AP for the correlated shadowing field.
     """
-    config.validate()
     rng = np.random.default_rng(seed)
     w, h = config.area
     aps = rng.uniform(low=[0.0, 0.0], high=[w, h], size=(config.n_aps, 2))
@@ -410,6 +412,8 @@ def split(
     rows, mimicking a separate second survey run. Test size is
     floor(n * test_fraction); an empty side is an error.
     """
+    if mode not in SPLIT_MODES:
+        raise ConfigError(f"split mode must be one of {SPLIT_MODES}, got {mode!r}")
     if not 0.0 < test_fraction < 1.0:
         raise DataError(f"test_fraction must lie in (0, 1), got {test_fraction}")
     if ds.n < 2:
@@ -423,11 +427,9 @@ def split(
         perm = np.random.default_rng(seed).permutation(ds.n)
         test_idx = np.sort(perm[:n_test])
         train_idx = np.sort(perm[n_test:])
-    elif mode == "block":
+    else:
         train_idx = np.arange(0, ds.n - n_test)
         test_idx = np.arange(ds.n - n_test, ds.n)
-    else:
-        raise ConfigError(f"unknown split mode {mode!r}")
     mk = lambda idx: SurveyDataset(
         X=ds.X[idx], Z=ds.Z[idx], ap_ids=ds.ap_ids, normalized=ds.normalized
     )

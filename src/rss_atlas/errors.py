@@ -1,8 +1,12 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the number check of configs.
 
 The CLI maps these onto process exit codes: ConfigError -> 1,
 DataError -> 2, NumericalError -> 3.
 """
+
+import math
+import numbers
+from dataclasses import fields
 
 
 class RssAtlasError(Exception):
@@ -11,6 +15,31 @@ class RssAtlasError(Exception):
 
 class ConfigError(RssAtlasError):
     """Invalid configuration value or malformed config file."""
+
+
+def check_number(name: str, value, integer: bool = False) -> None:
+    """`value` is an integer if `integer` is set, else a finite number.
+
+    A bool is neither: JSON `true`/`false` parse as Python ints.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if integer and not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if not integer and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+
+
+def check_numbers(config, prefix: str = "") -> None:
+    """check_number on every `int` and `float` field of the dataclass `config`.
+
+    Fields are matched by annotation, which every config module keeps as a
+    string (`from __future__ import annotations`). Messages name the field
+    after `prefix`, e.g. "evaluation.cell_size must be finite".
+    """
+    for f in fields(config):
+        if f.type in ("int", "float"):
+            check_number(prefix + f.name, getattr(config, f.name), f.type == "int")
 
 
 class DataError(RssAtlasError):

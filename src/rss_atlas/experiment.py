@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
+import re
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -23,7 +23,7 @@ from . import gp_map
 from . import localization as loc
 from . import pca as pca_mod
 from .dataset import atomic_write_text
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_number, check_numbers
 from .localization import (
     AutoencoderCompressor,
     Grid,
@@ -34,39 +34,64 @@ from .localization import (
 
 PIPELINE_FORMAT_VERSION = 1
 
-# Seed offsets so each stage draws from its own stream.
+# Seed offsets so each stage draws from its own stream; each autoencoder
+# kind trains from the experiment seed plus its own offset.
 _SPLIT_SEED_OFFSET = 1
-_SPARSE_AE_SEED_OFFSET = 2
-_DISTANCE_AE_SEED_OFFSET = 3
+_AE_SEED_OFFSETS = {"sparse_ae": 2, "distance_ae": 3}
+_AE_KINDS = tuple(_AE_SEED_OFFSETS)
+# A label is a file name part and a CSV cell.
+_LABEL = re.compile(r"[A-Za-z0-9_.-]+")
+_GP_GRID_AXES = ("length_scales", "signal_variances", "noise_variances")
+
+
+def _gp_grid(length_scales, signal_variances, noise_variances) -> list[gp_map.GpHyperparams]:
+    """Every combination of the three axes, length scale outermost."""
+    for axis, values in zip(_GP_GRID_AXES, (length_scales, signal_variances, noise_variances)):
+        if not values:
+            raise ConfigError(f"gp_grid.{axis} is empty")
+    return [
+        gp_map.GpHyperparams(signal_variance=s2, length_scale=l, noise_variance=n2)
+        for l in length_scales
+        for s2 in signal_variances
+        for n2 in noise_variances
+    ]
 
 
 def default_gp_grid() -> list[gp_map.GpHyperparams]:
     """Evidence-search grid in normalized output units."""
-    grid = []
-    for l in (2.0, 5.0, 10.0, 20.0, 40.0):
-        for s2 in (0.25, 0.5, 1.0):
-            for n2 in (0.01, 0.05, 0.1):
-                grid.append(
-                    gp_map.GpHyperparams(signal_variance=s2, length_scale=l, noise_variance=n2)
-                )
-    return grid
+    return _gp_grid((2.0, 5.0, 10.0, 20.0, 40.0), (0.25, 0.5, 1.0), (0.01, 0.05, 0.1))
 
 
 @dataclass(frozen=True)
 class CompressorSpec:
+    """One compressor of an experiment.
+
+    `latent_dim` belongs to pca only; an autoencoder kind carries its
+    resolved TrainConfig in `train` instead. `label` names the pipeline's
+    files and rows; it defaults to input, pca<latent_dim> or the kind.
+    """
+
     kind: str  # identity | pca | sparse_ae | distance_ae
     latent_dim: int | None = None
     train: ae.TrainConfig | None = None
     label: str | None = None
 
-    def resolved_label(self) -> str:
-        if self.label:
-            return self.label
-        if self.kind == "identity":
-            return "input"
+    def __post_init__(self):
+        if self.kind not in ("identity", "pca") + _AE_KINDS:
+            raise ConfigError(f"unknown compressor kind {self.kind!r}")
         if self.kind == "pca":
-            return f"pca{self.latent_dim}"
-        return self.kind
+            check_number("pca latent_dim", self.latent_dim, integer=True)
+            if self.latent_dim < 1:
+                raise ConfigError(f"pca latent_dim must be >= 1, got {self.latent_dim}")
+        elif self.latent_dim is not None:
+            raise ConfigError(f"{self.kind} takes no latent_dim")
+        if (self.train is None) == (self.kind in _AE_KINDS):
+            raise ConfigError(f"{self.kind} {'needs a' if self.train is None else 'takes no'} train block")
+        if self.label is None:
+            default = {"identity": "input", "pca": f"pca{self.latent_dim}"}.get(self.kind, self.kind)
+            object.__setattr__(self, "label", default)
+        if not (isinstance(self.label, str) and _LABEL.fullmatch(self.label)):
+            raise ConfigError(f"compressor label must match [A-Za-z0-9_.-]+, got {self.label!r}")
 
 
 @dataclass(frozen=True)
@@ -77,10 +102,13 @@ class EvaluationSpec:
     raster_indices: tuple[int, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "raster_indices", tuple(self.raster_indices))
+        check_numbers(self, "evaluation.")
+        for idx in self.raster_indices:
+            check_number("evaluation.raster_indices", idx, integer=True)
         for name in ("cell_size", "sigma_m"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"evaluation.{name} must be finite and > 0, got {value}")
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"evaluation.{name} must be > 0, got {getattr(self, name)}")
         if self.margin_cells < 0:
             raise ConfigError(f"evaluation.margin_cells must be >= 0, got {self.margin_cells}")
 
@@ -100,60 +128,74 @@ class ExperimentConfig:
     )
     ae_train: ae.TrainConfig = field(default_factory=ae.TrainConfig)
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        check_numbers(self)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if (self.synth is None) == (self.csv_path is None):
             raise ConfigError("config needs exactly one of dataset.synth or dataset.csv")
-        if self.synth is not None:
-            self.synth.validate()
-        if not self.compressors:
-            raise ConfigError("at least one compressor is required")
+        if not isinstance(self.output_dir, str) or not isinstance(self.csv_path, (str, type(None))):
+            raise ConfigError("output_dir and dataset.csv must be strings")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("split.test_fraction must lie in (0, 1)")
-        for spec in self.compressors:
-            if spec.kind not in ("identity", "pca", "sparse_ae", "distance_ae"):
-                raise ConfigError(f"unknown compressor kind {spec.kind!r}")
-            if spec.kind == "pca" and (spec.latent_dim is None or spec.latent_dim < 1):
-                raise ConfigError("pca compressor needs a positive latent_dim")
+        if self.split_mode not in ds_mod.SPLIT_MODES:
+            raise ConfigError(f"split.mode must be one of {ds_mod.SPLIT_MODES}, got {self.split_mode!r}")
+        labels = [spec.label for spec in self.compressors]
+        if not labels:
+            raise ConfigError("at least one compressor is required")
+        duplicates = sorted({label for label in labels if labels.count(label) > 1})
+        if duplicates:
+            raise ConfigError(f"duplicate compressor labels: {duplicates}")
 
 
-_GP_GRID_AXES = ("length_scales", "signal_variances", "noise_variances")
+_TOP_LEVEL_KEYS = (
+    "seed", "output_dir", "dataset", "split", "evaluation", "gp_grid", "ae_train", "compressors",
+)
+_SPLIT_FIELDS = {"test_fraction": "test_fraction", "mode": "split_mode"}
+_COMPRESSOR_KEYS = ("kind", "latent_dim", "label", "train")
+# All randomness derives from the experiment seed, so no train section sets one.
+_TRAIN_KEYS = tuple(f.name for f in fields(ae.TrainConfig) if f.name != "seed")
 
 
-def _reject_unknown_fields(doc: dict, known, section: str) -> None:
-    """A key of a config section that is not in `known` is a ConfigError."""
+def _section(doc: dict, known, name: str) -> dict:
+    """`doc` once each of its keys is in `known`; any other key is a ConfigError naming it."""
     extra = set(doc) - set(known)
     if extra:
-        raise ConfigError(f"unknown {section} fields: {sorted(extra)}")
+        raise ConfigError(f"unknown {name} fields: {sorted(extra)}")
+    return doc
 
 
-def _synth_config_from_dict(doc: dict) -> ds_mod.SynthEnvConfig:
-    _reject_unknown_fields(doc, (f.name for f in fields(ds_mod.SynthEnvConfig)), "synth")
-    kwargs = dict(doc)
-    if "area" in kwargs:
-        kwargs["area"] = tuple(float(v) for v in kwargs["area"])
-    if "waypoints" in kwargs:
-        kwargs["waypoints"] = tuple((float(p[0]), float(p[1])) for p in kwargs["waypoints"])
-    elif "area" in kwargs:
-        kwargs["waypoints"] = ds_mod.serpentine_waypoints(kwargs["area"])
-    return ds_mod.SynthEnvConfig(**kwargs)
+def _ae_train_config(cfg: ExperimentConfig, kind: str, train: dict) -> ae.TrainConfig:
+    """The TrainConfig of an autoencoder compressor.
+
+    cfg.ae_train with each key its `train` block sets replaced, seeded with
+    the experiment seed plus the kind's offset. The sparse AE has no
+    distance term, so its lambda_d is 0 and cannot be set.
+    """
+    _section(train, _TRAIN_KEYS, "train")
+    if kind == "sparse_ae":
+        if "lambda_d" in train:
+            raise ConfigError("sparse_ae takes no lambda_d: it has no distance term")
+        train = {**train, "lambda_d": 0.0}
+    return replace(cfg.ae_train, **train, seed=cfg.seed + _AE_SEED_OFFSETS[kind])
 
 
-def _train_config_from_dict(doc: dict, default_seed: int) -> ae.TrainConfig:
-    doc = dict(doc)
-    doc.setdefault("seed", default_seed)
-    try:
-        return ae.TrainConfig(**doc)
-    except TypeError as exc:
-        raise ConfigError(f"bad train config: {exc}") from None
+def _compressor_spec(doc: dict, cfg: ExperimentConfig) -> CompressorSpec:
+    kwargs = dict(_section(doc, _COMPRESSOR_KEYS, "compressor"))
+    if kwargs.get("kind") in _AE_KINDS:
+        kwargs["train"] = _ae_train_config(cfg, kwargs["kind"], kwargs.get("train", {}))
+    return CompressorSpec(**kwargs)
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Parse and validate a config document; any malformed part is a ConfigError.
 
-    A field of the wrong JSON type surfaces from the parsing code as a
+    Every section rejects unknown keys and passes the keys it has to its
+    dataclass, which checks itself; defaults live in the dataclasses. A
+    field of the wrong JSON type surfaces from the parsing code as a
     KeyError, TypeError, ValueError, AttributeError (a list where a section
-    dict belongs), IndexError (a waypoint with fewer than two coordinates)
-    or OverflowError (an infinite integer field).
+    dict belongs), IndexError or OverflowError (a huge integer in a float
+    field).
     """
     try:
         return _config_from_dict(doc)
@@ -164,77 +206,30 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 
 def _config_from_dict(doc: dict) -> ExperimentConfig:
-    try:
-        seed = int(doc["seed"])
-        output_dir = str(doc["output_dir"])
-    except KeyError as exc:
-        raise ConfigError(f"config missing required field {exc}") from None
-
-    dataset_doc = doc.get("dataset", {})
-    synth = None
-    csv_path = None
-    if "synth" in dataset_doc:
-        synth = _synth_config_from_dict(dataset_doc["synth"])
-    if "csv" in dataset_doc:
-        csv_path = str(dataset_doc["csv"])
-
-    split_doc = doc.get("split", {})
-    eval_doc = doc.get("evaluation", {})
-    _reject_unknown_fields(eval_doc, (f.name for f in fields(EvaluationSpec)), "evaluation")
-    evaluation = EvaluationSpec(
-        cell_size=float(eval_doc.get("cell_size", 1.0)),
-        sigma_m=float(eval_doc.get("sigma_m", 10.0)),
-        margin_cells=int(eval_doc.get("margin_cells", 2)),
-        raster_indices=tuple(int(i) for i in eval_doc.get("raster_indices", ())),
-    )
-
-    grid_doc = doc.get("gp_grid")
-    if grid_doc is None:
-        gp_grid = default_gp_grid()
-    else:
-        _reject_unknown_fields(grid_doc, _GP_GRID_AXES, "gp_grid")
-        for axis in _GP_GRID_AXES:
-            if not grid_doc[axis]:
-                raise ConfigError(f"gp_grid.{axis} is empty")
-        gp_grid = [
-            gp_map.GpHyperparams(signal_variance=s2, length_scale=l, noise_variance=n2)
-            for l in grid_doc["length_scales"]
-            for s2 in grid_doc["signal_variances"]
-            for n2 in grid_doc["noise_variances"]
-        ]
-
-    ae_train = _train_config_from_dict(
-        doc.get("ae_train", {}), default_seed=seed + _DISTANCE_AE_SEED_OFFSET
-    )
-
-    compressors = []
-    for cdoc in doc.get("compressors", [{"kind": "identity"}]):
-        kind = cdoc.get("kind")
-        train = None
-        if "train" in cdoc:
-            train = _train_config_from_dict(cdoc["train"], default_seed=seed)
-        compressors.append(
-            CompressorSpec(
-                kind=kind,
-                latent_dim=cdoc.get("latent_dim"),
-                train=train,
-                label=cdoc.get("label"),
-            )
-        )
-
-    cfg = ExperimentConfig(
-        seed=seed,
-        output_dir=output_dir,
-        synth=synth,
-        csv_path=csv_path,
-        test_fraction=float(split_doc.get("test_fraction", 0.3)),
-        split_mode=str(split_doc.get("mode", "random")),
-        gp_grid=gp_grid,
-        evaluation=evaluation,
-        compressors=compressors,
-        ae_train=ae_train,
-    )
-    cfg.validate()
+    _section(doc, _TOP_LEVEL_KEYS, "top-level")
+    # A missing seed or output_dir is a TypeError naming it.
+    kwargs = {key: doc[key] for key in ("seed", "output_dir") if key in doc}
+    dataset = _section(doc.get("dataset", {}), ("synth", "csv"), "dataset")
+    if "synth" in dataset:
+        synth_doc = _section(dataset["synth"], [f.name for f in fields(ds_mod.SynthEnvConfig)], "synth")
+        synth = kwargs["synth"] = ds_mod.SynthEnvConfig(**synth_doc)
+        if "area" in synth_doc and "waypoints" not in synth_doc:
+            kwargs["synth"] = replace(synth, waypoints=ds_mod.serpentine_waypoints(synth.area))
+    if "csv" in dataset:
+        kwargs["csv_path"] = dataset["csv"]
+    for key, value in _section(doc.get("split", {}), _SPLIT_FIELDS, "split").items():
+        kwargs[_SPLIT_FIELDS[key]] = value
+    if "evaluation" in doc:
+        eval_doc = _section(doc["evaluation"], [f.name for f in fields(EvaluationSpec)], "evaluation")
+        kwargs["evaluation"] = EvaluationSpec(**eval_doc)
+    if "gp_grid" in doc:
+        kwargs["gp_grid"] = _gp_grid(**_section(doc["gp_grid"], _GP_GRID_AXES, "gp_grid"))
+    if "ae_train" in doc:
+        kwargs["ae_train"] = ae.TrainConfig(**_section(doc["ae_train"], _TRAIN_KEYS, "ae_train"))
+    # Checked before the autoencoder seeds derive from cfg.seed.
+    cfg = ExperimentConfig(**kwargs)
+    if "compressors" in doc:
+        cfg = replace(cfg, compressors=[_compressor_spec(c, cfg) for c in doc["compressors"]])
     return cfg
 
 
@@ -246,7 +241,7 @@ def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    if seed_override is not None:
+    if seed_override is not None and isinstance(doc, dict):
         # Applied before parsing so derived seeds follow the override.
         doc["seed"] = seed_override
     return config_from_dict(doc)
@@ -264,33 +259,20 @@ def obtain_dataset(cfg: ExperimentConfig) -> ds_mod.SurveyDataset:
     return ds_mod.load_csv(cfg.csv_path)
 
 
-def _ae_train_config(cfg: ExperimentConfig, kind: str) -> ae.TrainConfig:
-    """The TrainConfig of an autoencoder spec that has no `train` block.
-
-    It is cfg.ae_train; the sparse AE drops the distance term, and each
-    kind trains from its own seed stream.
-    """
-    if kind == "sparse_ae":
-        return replace(cfg.ae_train, lambda_d=0.0, seed=cfg.seed + _SPARSE_AE_SEED_OFFSET)
-    return replace(cfg.ae_train, seed=cfg.seed + _DISTANCE_AE_SEED_OFFSET)
-
-
 def default_compare_compressors(cfg: ExperimentConfig) -> list[CompressorSpec]:
     """The standard five pipelines ranked in the headline comparison."""
     return [
-        CompressorSpec(kind="identity", label="input"),
-        CompressorSpec(kind="pca", latent_dim=30, label="pca30"),
-        CompressorSpec(kind="pca", latent_dim=10, label="pca10"),
-    ] + [
-        CompressorSpec(kind=kind, train=_ae_train_config(cfg, kind), label=kind)
-        for kind in ("sparse_ae", "distance_ae")
-    ]
+        CompressorSpec(kind="identity"),
+        CompressorSpec(kind="pca", latent_dim=30),
+        CompressorSpec(kind="pca", latent_dim=10),
+    ] + [CompressorSpec(kind=kind, train=_ae_train_config(cfg, kind, {})) for kind in _AE_KINDS]
 
 
-def build_compressor(spec: CompressorSpec, train_norm: ds_mod.SurveyDataset, cfg: ExperimentConfig):
+def build_compressor(spec: CompressorSpec, train_norm: ds_mod.SurveyDataset, stats=None):
     """Fit the requested compressor kind on normalized training data.
 
-    Returns (compressor, train_report_or_None).
+    Returns (compressor, train_report_or_None); `stats` adds the dBm RMSE
+    to an autoencoder's report.
     """
     if spec.kind == "identity":
         return IdentityCompressor(train_norm.m), None
@@ -299,11 +281,8 @@ def build_compressor(spec: CompressorSpec, train_norm: ds_mod.SurveyDataset, cfg
         # runnable on small surveys.
         c = min(spec.latent_dim, train_norm.m)
         return PcaCompressor(pca_mod.fit(train_norm.Z, c)), None
-    if spec.kind in ("sparse_ae", "distance_ae"):
-        train_cfg = spec.train if spec.train is not None else _ae_train_config(cfg, spec.kind)
-        params, report = ae.train(train_norm, train_cfg)
-        return AutoencoderCompressor(params), report
-    raise ConfigError(f"unknown compressor kind {spec.kind!r}")
+    params, report = ae.train(train_norm, spec.train, stats)
+    return AutoencoderCompressor(params), report
 
 
 def build_pipelines(
@@ -473,24 +452,20 @@ def run_train(cfg: ExperimentConfig, manifest: Manifest | None = None) -> list[s
 
     built = []
     for spec in cfg.compressors:
-        label = spec.resolved_label()
-        compressor, report = build_compressor(spec, train_norm, cfg)
-        built.append((spec, label, compressor, report))
-        manifest.stage(f"train:{label}")
+        built.append((spec, *build_compressor(spec, train_norm, stats)))
+        manifest.stage(f"train:{spec.label}")
 
-    pipelines = build_pipelines(
-        [(label, comp) for _, label, comp, _ in built], train_norm, cfg.gp_grid
-    )
+    pipelines = build_pipelines([(spec.label, comp) for spec, comp, _ in built], train_norm, cfg.gp_grid)
     manifest.stage("gp_search")
 
     summary_lines = ["label,kind,latent_dim,final_rmse,final_rmse_dbm,epochs"]
-    for (spec, label, compressor, report), pipeline in zip(built, pipelines):
+    for (spec, compressor, report), pipeline in zip(built, pipelines):
+        label = spec.label
         path = os.path.join(outdir, f"pipeline_{label}.json")
         atomic_write_text(path, _json_text(pipeline_to_dict(pipeline)))
         manifest.artifact(path)
 
         if report is not None:
-            rmse_dbm = ae.reconstruction_rmse(compressor.params, train_norm.Z, stats)
             lines = ["epoch,reconstruction,sparsity,distance"]
             for e, (r, s, d) in enumerate(
                 zip(report.recon_losses, report.sparsity_losses, report.distance_losses), 1
@@ -500,7 +475,7 @@ def run_train(cfg: ExperimentConfig, manifest: Manifest | None = None) -> list[s
             manifest.artifact(f"train_report_{label}.csv")
             summary_lines.append(
                 f"{label},{spec.kind},{compressor.latent_dim},"
-                f"{report.final_rmse!r},{rmse_dbm!r},{len(report.recon_losses)}"
+                f"{report.final_rmse!r},{report.final_rmse_dbm!r},{len(report.recon_losses)}"
             )
         else:
             summary_lines.append(f"{label},{spec.kind},{compressor.latent_dim},,,")
@@ -510,7 +485,7 @@ def run_train(cfg: ExperimentConfig, manifest: Manifest | None = None) -> list[s
     manifest.stage("write")
     if own_manifest:
         manifest.write(outdir)
-    return [label for _, label, _, _ in built]
+    return [spec.label for spec in cfg.compressors]
 
 
 def run_evaluate(cfg: ExperimentConfig, manifest: Manifest | None = None) -> list[loc.EvalResult]:
@@ -529,8 +504,7 @@ def run_evaluate(cfg: ExperimentConfig, manifest: Manifest | None = None) -> lis
 
     pipelines = []
     for spec in cfg.compressors:
-        label = spec.resolved_label()
-        path = os.path.join(outdir, f"pipeline_{label}.json")
+        path = os.path.join(outdir, f"pipeline_{spec.label}.json")
         if not os.path.exists(path):
             raise DataError(f"missing model file {path}")
         pipelines.append(_load_artifact(path, pipeline_from_dict))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import ConfigError, DataError, GpFitError
+from .errors import ConfigError, DataError, GpFitError, check_numbers
 
 MODEL_FORMAT_VERSION = 2
 _JITTER_SCALE = 1e-8
@@ -30,9 +30,7 @@ class GpHyperparams:
     noise_variance: float = 0.0
 
     def __post_init__(self):
-        for name in ("signal_variance", "length_scale", "noise_variance"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        check_numbers(self)
         if not self.signal_variance > 0:
             raise ConfigError(f"signal_variance must be > 0, got {self.signal_variance}")
         if not self.length_scale > 0:

@@ -228,6 +228,14 @@ def test_config_validation_errors(tmp_path):
     assert cli.main(["train", "--config", cfg]) == 1
 
 
+def test_seed_override_of_non_object_config(tmp_path, capsys):
+    """--seed on a config whose JSON is not an object is a config error, not a traceback."""
+    cfg = write_config(tmp_path, [1])
+    assert cli.main(["train", "--config", cfg, "--seed", "3"]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "unknown top-level fields" in err
+
+
 def identity_config(out_dir):
     doc = tiny_config(out_dir)
     doc["compressors"] = [{"kind": "identity"}]
@@ -319,6 +327,24 @@ def _ae_train_value(key, value):
     return setup
 
 
+def _set(*path, value, command="train"):
+    """Set doc[path[0]]...[path[-1]] = value; a missing section is created."""
+    def setup(doc, out):
+        section = doc
+        for key in path[:-1]:
+            section = section.setdefault(key, {})
+        section[path[-1]] = value
+        return command
+    return setup
+
+
+def _compressors(*entries):
+    def setup(doc, out):
+        doc["compressors"] = list(entries)
+        return "train"
+    return setup
+
+
 def _autoencoder_pipeline(format_version, **train_config):
     """Store an autoencoder of `format_version` with `train_config` entries replaced."""
     def setup(doc, out):
@@ -366,6 +392,49 @@ FAILURES = {
     "fractional_epochs": (_ae_train_value("epochs", 2.5), 1, "epochs must be an integer"),
     "boolean_epochs": (_ae_train_value("epochs", True), 1, "epochs must be a number"),
     "boolean_lambda_d": (_ae_train_value("lambda_d", False), 1, "lambda_d must be a number"),
+    "fractional_n_aps": (_set("dataset", "synth", "n_aps", value=2.5), 1, "synth.n_aps must be an integer"),
+    "boolean_n_aps": (_set("dataset", "synth", "n_aps", value=True), 1, "synth.n_aps must be a number"),
+    "nan_sample_spacing": (
+        _set("dataset", "synth", "sample_spacing_m", value=float("nan")), 1,
+        "synth.sample_spacing_m must be finite",
+    ),
+    "nan_area": (_set("dataset", "synth", "area", value=[float("nan"), 40]), 1, "synth.area must be finite"),
+    "infinite_shadowing_std": (
+        _set("dataset", "synth", "shadowing_std_dbm", value=float("inf")), 1,
+        "synth.shadowing_std_dbm must be finite",
+    ),
+    "fractional_pca_latent_dim": (
+        _compressors({"kind": "pca", "latent_dim": 2.5}), 1, "latent_dim must be an integer"
+    ),
+    "negative_seed": (_set("seed", value=-1), 1, "seed must be >= 0"),
+    "fractional_seed": (_set("seed", value=2.5), 1, "seed must be an integer"),
+    "fractional_raster_index": (
+        _set("evaluation", "raster_indices", value=[1.5], command="evaluate"), 1,
+        "evaluation.raster_indices must be an integer",
+    ),
+    "unknown_top_level_key": (_set("sede", value=3), 1, "unknown top-level fields: ['sede']"),
+    "unknown_dataset_key": (_set("dataset", "cvs", value="x.csv"), 1, "unknown dataset fields: ['cvs']"),
+    "unknown_split_key": (
+        _set("split", "test_fracton", value=0.5), 1, "unknown split fields: ['test_fracton']"
+    ),
+    "unknown_compressor_key": (
+        _compressors({"kind": "identity", "latnet_dim": 3}), 1, "unknown compressor fields: ['latnet_dim']"
+    ),
+    "ae_train_seed": (_ae_train_value("seed", 42), 1, "unknown ae_train fields: ['seed']"),
+    "train_block_seed": (
+        _compressors({"kind": "distance_ae", "train": {"seed": 42}}), 1, "unknown train fields: ['seed']"
+    ),
+    "sparse_ae_lambda_d": (
+        _compressors({"kind": "sparse_ae", "train": {"lambda_d": 0.1}}), 1, "sparse_ae takes no lambda_d"
+    ),
+    "duplicate_label": (
+        _compressors({"kind": "identity", "label": "input"},
+                     {"kind": "pca", "latent_dim": 3, "label": "input"}),
+        1, "duplicate compressor labels: ['input']",
+    ),
+    "unsafe_label": (
+        _compressors({"kind": "identity", "label": "a,b"}), 1, "compressor label must match"
+    ),
     "missing_csv": (_missing_csv, 2, "no_such_survey.csv"),
     "corrupt_pipeline_json": (_corrupt_pipeline_json, 2, "pipeline_input.json"),
     "v1_pipeline": (_v1_pipeline, 2, "format_version"),

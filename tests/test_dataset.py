@@ -230,17 +230,17 @@ class TestSynthesize:
 
     def test_invalid_exponent_rejected(self):
         with pytest.raises(ConfigError):
-            dsm.SynthEnvConfig(path_loss_exponent=7.0).validate()
+            dsm.SynthEnvConfig(path_loss_exponent=7.0)
 
     def test_floor_above_tx_rejected(self):
         with pytest.raises(ConfigError):
-            dsm.SynthEnvConfig(tx_power_dbm=-120.0).validate()
+            dsm.SynthEnvConfig(tx_power_dbm=-120.0)
 
     def test_tx_power_above_0_dbm_rejected(self):
         # load_csv refuses readings above 0 dBm, so train must not write them.
         with pytest.raises(ConfigError, match="tx_power_dbm"):
-            dsm.SynthEnvConfig(tx_power_dbm=10.0).validate()
-        dsm.SynthEnvConfig(tx_power_dbm=0.0).validate()
+            dsm.SynthEnvConfig(tx_power_dbm=10.0)
+        dsm.SynthEnvConfig(tx_power_dbm=0.0)
 
     def test_shadowing_clamped_at_0_dbm(self, small_synth_config, tmp_path):
         from dataclasses import replace
@@ -256,8 +256,8 @@ class TestSynthesize:
     def test_floor_below_thermal_noise_rejected(self):
         # load_csv refuses such readings, so train must not write them.
         with pytest.raises(ConfigError, match="floor_dbm"):
-            dsm.SynthEnvConfig(floor_dbm=-175.0).validate()
-        dsm.SynthEnvConfig(floor_dbm=dsm.MIN_RSS_DBM).validate()
+            dsm.SynthEnvConfig(floor_dbm=-175.0)
+        dsm.SynthEnvConfig(floor_dbm=dsm.MIN_RSS_DBM)
 
 
 class TestNormalize:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,13 +105,51 @@ class TestConfigParsing:
             ex.config_from_dict({"output_dir": "o", "dataset": {"synth": {}}})
 
 
+class TestReadme:
+    def test_minimal_config_parses(self):
+        """The README's "Minimal config" block is a config the parser accepts."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("Minimal config:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+        cfg = ex.config_from_dict(json.loads(block))
+        assert [spec.label for spec in cfg.compressors] == ["input", "pca10", "distance_ae"]
+
+
+class TestTrainResolution:
+    @staticmethod
+    def _parse(compressors, ae_train=None, seed=7):
+        doc = {"seed": seed, "output_dir": "o", "dataset": {"synth": {}}, "compressors": compressors}
+        if ae_train is not None:
+            doc["ae_train"] = ae_train
+        return ex.config_from_dict(doc)
+
+    def test_train_block_overrides_ae_train_key_by_key(self):
+        cfg = self._parse([{"kind": "distance_ae", "train": {"latent_dim": 5}}], {"epochs": 300})
+        train = cfg.compressors[0].train
+        assert (train.epochs, train.latent_dim) == (300, 5)
+        assert train.hidden_dim == ae.TrainConfig().hidden_dim
+
+    def test_sparse_ae_with_train_block_has_no_distance_term(self):
+        cfg = self._parse([{"kind": "sparse_ae", "train": {"epochs": 10}}])
+        assert cfg.compressors[0].train.lambda_d == 0.0
+        assert cfg.compressors[0].train.epochs == 10
+
+    @pytest.mark.parametrize("train", [{}, {"epochs": 5}])
+    def test_parser_and_compare_resolve_alike(self, train):
+        """One rule: a train block only replaces its own keys of what compare trains."""
+        entries = [{"kind": kind, "train": train} for kind in ("sparse_ae", "distance_ae")]
+        cfg = self._parse(entries, {"epochs": 5, "latent_dim": 3})
+        compare = ex.default_compare_compressors(cfg)[3:]
+        assert [spec.train for spec in cfg.compressors] == [spec.train for spec in compare]
+        assert [spec.train.seed for spec in compare] == [9, 10]
+
+
 class TestCompareSpecs:
     def test_standard_five_labels(self):
         cfg = ex.config_from_dict(
             {"seed": 4, "output_dir": "o", "dataset": {"synth": {}}}
         )
         specs = ex.default_compare_compressors(cfg)
-        assert [s.resolved_label() for s in specs] == [
+        assert [s.label for s in specs] == [
             "input", "pca30", "pca10", "sparse_ae", "distance_ae",
         ]
         sparse = specs[3].train
@@ -256,16 +295,24 @@ def _schema_doc():
 
     synth = fields(["area", "n_aps", "floor_dbm", "waypoints", "sample_spacing_m",
                     "path_loss_exponent", "shadowing_correlation_length_m", "extra"])
-    compressor = fields(["kind", "latent_dim", "label", "train"]) | _JSONISH
+    train = fields(["latent_dim", "epochs", "lambda_d", "distance_mode", "seed", "extra"])
+    compressor = st.fixed_dictionaries({}, optional={
+        "kind": _JSONISH, "latent_dim": _JSONISH, "extra": _JSONISH,
+        "label": st.sampled_from(["input", "pca3", "a,b", "", "../x"]) | _JSONISH,
+        "train": train | _JSONISH,
+    }) | _JSONISH
     return st.fixed_dictionaries(
         {"seed": st.integers(0, 100) | _JSONISH, "output_dir": st.just("out") | _JSONISH},
         optional={
-            "dataset": st.fixed_dictionaries({}, optional={"synth": synth, "csv": _JSONISH}) | _JSONISH,
-            "split": fields(["test_fraction", "mode"]) | _JSONISH,
+            "dataset": st.fixed_dictionaries(
+                {}, optional={"synth": synth, "csv": _JSONISH, "extra": _JSONISH}
+            ) | _JSONISH,
+            "split": fields(["test_fraction", "mode", "extra"]) | _JSONISH,
             "evaluation": fields(["cell_size", "sigma_m", "margin_cells", "raster_indices"]) | _JSONISH,
             "gp_grid": fields(["length_scales", "signal_variances", "noise_variances"]) | _JSONISH,
-            "ae_train": fields(["latent_dim", "epochs", "lambda_d", "distance_mode"]) | _JSONISH,
+            "ae_train": train | _JSONISH,
             "compressors": st.lists(compressor, max_size=3) | _JSONISH,
+            "extra": _JSONISH,
         },
     )
 
@@ -309,7 +356,7 @@ class TestBuildPipeline:
         train_raw, _ = dsm.split(full, cfg.test_fraction, cfg.seed + 1, cfg.split_mode)
         train_norm, _ = dsm.normalize(train_raw)
         for spec, label in zip(cfg.compressors, labels):
-            comp, _ = ex.build_compressor(spec, train_norm, cfg)
+            comp, _ = ex.build_compressor(spec, train_norm)
             alone = ex.build_pipeline(label, comp, train_norm, cfg.gp_grid)
             want = json.dumps(ex.pipeline_to_dict(alone), indent=1)
             assert (tmp_path / f"pipeline_{label}.json").read_text() == want
@@ -319,8 +366,5 @@ class TestBuildPipeline:
 
     def test_pca_dim_clipped_to_ap_count(self, train_norm):
         spec = ex.CompressorSpec(kind="pca", latent_dim=500)
-        cfg = ex.config_from_dict(
-            {"seed": 0, "output_dir": "o", "dataset": {"synth": {}}}
-        )
-        comp, _ = ex.build_compressor(spec, train_norm, cfg)
+        comp, _ = ex.build_compressor(spec, train_norm)
         assert comp.latent_dim == train_norm.m
