@@ -1,8 +1,8 @@
 """Command line interface: synth | train | evaluate | compare.
 
-Exit codes: 0 success, 1 config error, 2 data error, 3 numerical failure;
-every failure prints one line to stderr. All settings come from one JSON
-config file; --seed overrides the file's seed.
+Exit codes: 0 success, 1 config or usage error, 2 data error, 3 numerical
+failure; every failure prints one line to stderr. All settings come from
+one JSON config file; --seed overrides the file's seed.
 """
 
 from __future__ import annotations
@@ -14,8 +14,15 @@ from . import experiment
 from .errors import ConfigError, DataError, NumericalError
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors raised as ConfigError instead of exiting 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{message} (see rss-atlas --help)")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rss-atlas",
         description="Signal strength map compression and grid localization experiments.",
     )
@@ -41,8 +48,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = experiment.load_config(args.config, seed_override=args.seed)
         if args.command == "synth":
             experiment.run_synth(cfg, args.out)

@@ -4,6 +4,17 @@ One isotropic RBF kernel and one noise level are shared by all output
 dimensions, so a fitted map predicts a d-vector mean and a single scalar
 variance per query point. Solves go through a cached Cholesky factor;
 the inverse is never formed.
+
+Unit-kernel entries exp(-d/l^2) below _KERNEL_FLOOR = 1e-100, i.e. at
+distances beyond 15.2 l, are stored as exact zeros. Each is about 84
+orders of magnitude below double epsilon: on every survey tested no
+weight, evidence, mean or variance changes by a bit, only the Cholesky
+factor's tiny fill-in does.
+Left in, such entries make the factorization and the triangular solves
+multiply numbers near the underflow threshold, which on the Xeon it was
+measured on takes a slow microcode path per multiply: at l = 2 m the grid
+predict's solve ran 4x slower than at l = 20 m for the same flop count.
+rbf_kernel, the scalar oracle, keeps the untruncated formula.
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ from .errors import ConfigError, DataError, GpFitError, check_numbers
 MODEL_FORMAT_VERSION = 2
 _JITTER_SCALE = 1e-8
 _VARIANCE_FLOOR = 1e-12
+_KERNEL_FLOOR = 1e-100
 
 
 @dataclass(frozen=True)
@@ -86,10 +98,12 @@ def _unit_kernel(A: np.ndarray, B: np.ndarray, length_scale: float) -> np.ndarra
     """exp(-d/l^2) between two location sets: the kernel at signal variance 1.
 
     Built in place in the distance matrix; -d/l^2 rounds the same as d/(-l^2).
+    Entries below _KERNEL_FLOOR are set to exactly 0 (see the module docstring).
     """
     K = _sq_dists(A, B)
     K /= -(length_scale**2)
     np.exp(K, out=K)
+    np.copyto(K, 0.0, where=K < _KERNEL_FLOOR)
     return K
 
 

@@ -194,11 +194,13 @@ class FieldBuilder:
     equal width, so its temporaries are a few n x block arrays for n
     training points.
 
-    The blocks give the bits of one whole-grid predict_batch. OpenBLAS's
-    triangular solve works on groups of 12 columns and rounds a partial
-    group at the end of a call differently, so every block but the last
-    is whole groups. Its matrix product takes another path for small
-    products, so no block is narrower than _BLOCK.
+    With one OpenBLAS thread the blocks give the bits of one whole-grid
+    predict_batch. OpenBLAS's triangular solve works on groups of 12
+    columns and rounds a partial group at the end of a call differently,
+    so every block but the last is whole groups. Its matrix product takes
+    another path for small products, so no block is narrower than _BLOCK.
+    With more threads OpenBLAS splits a call's columns among them, so
+    partial groups fall elsewhere and the last bits can differ.
     """
 
     _BLOCK = 2016

@@ -345,6 +345,13 @@ def _compressors(*entries):
     return setup
 
 
+def _argv(*args):
+    """Run the CLI with exactly these arguments; "{cfg}" stands for the config path."""
+    def setup(doc, out):
+        return list(args)
+    return setup
+
+
 def _autoencoder_pipeline(format_version, **train_config):
     """Store an autoencoder of `format_version` with `train_config` entries replaced."""
     def setup(doc, out):
@@ -435,6 +442,11 @@ FAILURES = {
     "unsafe_label": (
         _compressors({"kind": "identity", "label": "a,b"}), 1, "compressor label must match"
     ),
+    "missing_config_option": (_argv("train"), 1, "the following arguments are required: --config"),
+    "non_integer_seed_option": (
+        _argv("train", "--config", "{cfg}", "--seed", "abc"), 1, "argument --seed: invalid int value"
+    ),
+    "unknown_subcommand": (_argv("frobnicate", "--config", "{cfg}"), 1, "invalid choice: 'frobnicate'"),
     "missing_csv": (_missing_csv, 2, "no_such_survey.csv"),
     "corrupt_pipeline_json": (_corrupt_pipeline_json, 2, "pipeline_input.json"),
     "v1_pipeline": (_v1_pipeline, 2, "format_version"),
@@ -458,8 +470,12 @@ def test_failure_contract(case, tmp_path, trained_identity, capsys):
     doc = identity_config(out)
     command = setup(doc, out)
     cfg = write_config(tmp_path, doc)
+    if isinstance(command, str):
+        argv = [command, "--config", cfg]
+    else:
+        argv = [arg.format(cfg=cfg) for arg in command]
     capsys.readouterr()
-    assert cli.main([command, "--config", cfg]) == code
+    assert cli.main(argv) == code
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err

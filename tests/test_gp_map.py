@@ -4,8 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rss_atlas import dataset as dsm
+from rss_atlas import experiment as ex
 from rss_atlas import gp_map
+from rss_atlas import localization as loc
+from rss_atlas import pca
 from rss_atlas.errors import ConfigError, DataError, GpFitError
 from rss_atlas.gp_map import GpHyperparams
 
@@ -81,10 +87,83 @@ class TestSqDists:
         assert np.array_equal(gp_map._sq_dists(A, A), broadcast_sq_dists(A, A))
 
     def test_kernel_matrix_equals_expression(self, rng):
-        A, B = rng.uniform(0, 60, (80, 2)), rng.uniform(0, 60, (50, 2))
+        # At l = 5 m the floor cuts beyond 15.2 l = 76 m: points within 60 m
+        # never reach it, points up to 300 m apart often do.
         hp = GpHyperparams(signal_variance=0.7, length_scale=5.0, noise_variance=0.05)
-        want = hp.signal_variance * np.exp(-broadcast_sq_dists(A, B) / hp.length_scale**2)
-        assert np.array_equal(gp_map.kernel_matrix(A, B, hp), want)
+        for span, floored_any in ((60, False), (300, True)):
+            A, B = rng.uniform(0, span, (80, 2)), rng.uniform(0, span, (50, 2))
+            unit = np.exp(-broadcast_sq_dists(A, B) / hp.length_scale**2)
+            floored = unit < gp_map._KERNEL_FLOOR
+            assert floored.any() == floored_any
+            want = hp.signal_variance * np.where(floored, 0.0, unit)
+            assert np.array_equal(gp_map.kernel_matrix(A, B, hp), want)
+
+
+class TestKernelFloor:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        points=st.lists(st.tuples(st.floats(-300, 300), st.floats(-300, 300)), min_size=2, max_size=24),
+        length_scale=st.floats(0.05, 100.0),
+    )
+    def test_entries_are_zero_or_the_kernel_above_the_floor(self, points, length_scale):
+        P = np.array(points)
+        A, B = P[: len(P) // 2], P[len(P) // 2 :]
+        K = gp_map._unit_kernel(A, B, length_scale)
+        assert np.all((K == 0.0) | (K >= gp_map._KERNEL_FLOOR))
+        unit = np.exp(-broadcast_sq_dists(A, B) / length_scale**2)
+        assert np.array_equal(K, np.where(unit >= gp_map._KERNEL_FLOOR, unit, 0.0))
+
+    @pytest.fixture(scope="class")
+    def default_survey(self):
+        """The default synthetic survey (seed 0, A4's split) and its 1 m evaluation grid."""
+        ds = dsm.synthesize(dsm.SynthEnvConfig(), 0)
+        train_raw, test_raw = dsm.split(ds, 0.3, 1)
+        train_norm, stats = dsm.normalize(train_raw)
+        test_norm = dsm.apply_normalization(test_raw, stats)
+        grid = loc.Grid.cover(np.vstack([train_raw.X, test_raw.X]), 1.0, 2)
+        compressors = [
+            ("input", loc.IdentityCompressor(train_norm.m)),
+            ("pca30", loc.PcaCompressor(pca.fit(train_norm.Z, 30))),
+            ("pca10", loc.PcaCompressor(pca.fit(train_norm.Z, 10))),
+        ]
+        return train_norm, test_norm, grid, compressors
+
+    @staticmethod
+    def _run(survey):
+        """The search, then for pca30 (l = 2 m): every candidate's evidence,
+        predictions at the test locations and grid fields of five test rows."""
+        train_norm, test_norm, grid, compressors = survey
+        gp_grid = ex.default_gp_grid()
+        pipes = ex.build_pipelines(compressors, train_norm, gp_grid)
+        pca30 = pipes[1]
+        Y = pca30.encode(train_norm.Z)
+        evidences = [gp_map.log_marginal_likelihood(train_norm.X, Y, hp) for hp in gp_grid]
+        means, variances = gp_map.predict_batch(pca30.gp, test_norm.X)
+        builder = loc.FieldBuilder(pca30, grid)
+        fields = [builder.log_likelihoods(z) for z in test_norm.Z[:5]]
+        return pipes, evidences, means, variances, fields
+
+    def test_floor_leaves_every_output_bit_unchanged(self, default_survey, monkeypatch):
+        train_norm, _, grid, _ = default_survey
+        pipes, evidences, means, variances, fields = self._run(default_survey)
+        assert pipes[1].gp.hyperparams.length_scale == 2.0
+
+        cross = gp_map._unit_kernel(train_norm.X, grid.cell_centers(), 2.0)
+        monkeypatch.setattr(gp_map, "_KERNEL_FLOOR", 0.0)  # the untruncated kernel
+        exact = gp_map._unit_kernel(train_norm.X, grid.cell_centers(), 2.0)
+        zeroed = np.mean((cross == 0.0) & (exact > 0.0))
+        assert zeroed > 0.1, zeroed
+
+        pipes_exact, evidences_exact, means_exact, variances_exact, fields_exact = self._run(
+            default_survey
+        )
+        for got, want in zip(pipes, pipes_exact):
+            assert got.gp.hyperparams == want.gp.hyperparams
+            assert np.array_equal(got.gp.W, want.gp.W)
+        assert evidences == evidences_exact
+        assert np.array_equal(means, means_exact)
+        assert np.array_equal(variances, variances_exact)
+        assert all(np.array_equal(g, w) for g, w in zip(fields, fields_exact))
 
 
 class TestGramMatrix:
