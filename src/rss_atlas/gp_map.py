@@ -14,7 +14,15 @@ Left in, such entries make the factorization and the triangular solves
 multiply numbers near the underflow threshold, which on the Xeon it was
 measured on takes a slow microcode path per multiply: at l = 2 m the grid
 predict's solve ran 4x slower than at l = 20 m for the same flop count.
+The exponent is clamped at _EXP_CLAMP = -240 before exp, whose result there
+(6.6e-105) is floored as well, so the clamp changes no entry; it only keeps
+exp off arguments far below -745, where it is several times slower.
 rbf_kernel, the scalar oracle, keeps the untruncated formula.
+
+A prediction reads the cross-kernel as k x n, one C-order row per query
+point: the mean is one matrix product, and the triangular solve runs in
+place on its transpose, which is Fortran-ordered as LAPACK wants, so a
+block of k query points holds one k x n buffer.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ MODEL_FORMAT_VERSION = 2
 _JITTER_SCALE = 1e-8
 _VARIANCE_FLOOR = 1e-12
 _KERNEL_FLOOR = 1e-100
+_EXP_CLAMP = -240.0  # exp(_EXP_CLAMP) < _KERNEL_FLOOR
 
 
 @dataclass(frozen=True)
@@ -94,17 +103,24 @@ def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return D
 
 
-def _unit_kernel(A: np.ndarray, B: np.ndarray, length_scale: float) -> np.ndarray:
-    """exp(-d/l^2) between two location sets: the kernel at signal variance 1.
+def _exp_kernel(D: np.ndarray, length_scale: float) -> np.ndarray:
+    """exp(-d/l^2) in place over squared distances D: the kernel at signal variance 1.
 
-    Built in place in the distance matrix; -d/l^2 rounds the same as d/(-l^2).
-    Entries below _KERNEL_FLOOR are set to exactly 0 (see the module docstring).
+    -d/l^2 rounds the same as d/(-l^2). Exponents below _EXP_CLAMP are
+    raised to it, and entries below _KERNEL_FLOOR are set to exactly 0,
+    so a clamped exponent gives the 0 its own exp would (see the module
+    docstring).
     """
-    K = _sq_dists(A, B)
-    K /= -(length_scale**2)
-    np.exp(K, out=K)
-    np.copyto(K, 0.0, where=K < _KERNEL_FLOOR)
-    return K
+    D /= -(length_scale**2)
+    np.maximum(D, _EXP_CLAMP, out=D)
+    np.exp(D, out=D)
+    np.copyto(D, 0.0, where=D < _KERNEL_FLOOR)
+    return D
+
+
+def _unit_kernel(A: np.ndarray, B: np.ndarray, length_scale: float) -> np.ndarray:
+    """The unit kernel between two location sets (n x k)."""
+    return _exp_kernel(_sq_dists(A, B), length_scale)
 
 
 def kernel_matrix(A: np.ndarray, B: np.ndarray, hp: GpHyperparams) -> np.ndarray:
@@ -192,12 +208,25 @@ def predict_batch(model: GpModel, X_star: np.ndarray) -> tuple[np.ndarray, np.nd
     The variance is clamped at 1e-12 when rounding drives it negative.
     """
     X_star = np.asarray(X_star, dtype=float)
+    return predict_from_sq_dists(model, _sq_dists(X_star, model.X_train))
+
+
+def predict_from_sq_dists(model: GpModel, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """predict_batch from the k x n squared distances D of the query points to
+    the training locations, a C-order array that is overwritten.
+
+    D becomes the cross-kernel, then the solve's result: no other k x n
+    array is allocated.
+    """
     hp = model.hyperparams
-    k_star = kernel_matrix(model.X_train, X_star, hp)
-    means = k_star.T @ model.W
-    v = solve_triangular(model.chol_factor, k_star, lower=True)
-    # Squared in place with k_star freed, so at most two n x k arrays live.
-    del k_star
+    Kt = _exp_kernel(D, hp.length_scale)
+    Kt *= hp.signal_variance
+    means = Kt @ model.W
+    # No finiteness scan: the factor is finite, and a NaN query location
+    # only makes its own row NaN, which the solve carries through.
+    v = solve_triangular(
+        model.chol_factor, Kt.T, lower=True, overwrite_b=True, check_finite=False
+    )
     v *= v
     prior = hp.signal_variance + hp.noise_variance
     variances = prior - np.sum(v, axis=0)

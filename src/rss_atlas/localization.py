@@ -191,8 +191,13 @@ class FieldBuilder:
     The predictions depend only on the grid and the pipeline, so building
     fields for many measurements reuses them. The precompute splits the
     grid into as many blocks of at least _BLOCK cells as fit, of nearly
-    equal width, so its temporaries are a few n x block arrays for n
-    training points.
+    equal width. A block's squared distances to the n training points are
+    built from two axis tables, dx^2 (width x n) and dy^2 (height x n),
+    into one C-order (block cells) x n buffer, in which
+    `gp_map.predict_from_sq_dists` forms the kernel and solves; the buffer
+    is freed before the next block's is allocated. (b - a)^2 rounds exactly
+    as (a - b)^2, so each block's tables equal predict_batch at its
+    cell_centers().
 
     With one OpenBLAS thread the blocks give the bits of one whole-grid
     predict_batch. OpenBLAS's triangular solve works on groups of 12
@@ -209,20 +214,30 @@ class FieldBuilder:
     def __init__(self, pipeline: Pipeline, grid: Grid):
         self.pipeline = pipeline
         self.grid = grid
-        centers = grid.cell_centers()
-        self._means = np.empty((grid.n_cells, pipeline.gp.output_dim))
+        gp = pipeline.gp
+        xs, ys = grid.axis_centers()
+        dx2 = xs[:, None] - gp.X_train[None, :, 0]
+        dx2 *= dx2
+        dy2 = ys[:, None] - gp.X_train[None, :, 1]
+        dy2 *= dy2
+        self._means = np.empty((grid.n_cells, gp.output_dim))
         self._mean_sq = np.empty(grid.n_cells)
         self._variances = np.empty(grid.n_cells)
-        n_blocks = max(1, grid.n_cells // self._BLOCK)
-        groups = grid.n_cells // self._GROUP
-        edges = [self._GROUP * (b * groups // n_blocks) for b in range(n_blocks)]
-        for start, stop in zip(edges, edges[1:] + [grid.n_cells]):
-            means, self._variances[start:stop] = gp_map.predict_batch(
-                pipeline.gp, centers[start:stop]
+        for start, stop in self._blocks(grid.n_cells):
+            means, self._variances[start:stop] = gp_map.predict_from_sq_dists(
+                gp, _block_sq_dists(dx2, dy2, start, stop)
             )
             self._means[start:stop] = means
             self._mean_sq[start:stop] = np.sum(means * means, axis=1)
-        self._log_norm = -0.5 * pipeline.gp.output_dim * (LOG_2PI + np.log(self._variances))
+        self._log_norm = -0.5 * gp.output_dim * (LOG_2PI + np.log(self._variances))
+
+    @classmethod
+    def _blocks(cls, n_cells: int) -> list[tuple[int, int]]:
+        """(start, stop) cell ranges of the precompute's blocks."""
+        n_blocks = max(1, n_cells // cls._BLOCK)
+        groups = n_cells // cls._GROUP
+        edges = [cls._GROUP * (b * groups // n_blocks) for b in range(n_blocks)]
+        return list(zip(edges, edges[1:] + [n_cells]))
 
     def log_likelihoods(self, z) -> np.ndarray:
         """Flat per-cell log of the product of per-dimension densities."""
@@ -234,6 +249,19 @@ class FieldBuilder:
 
     def field_for(self, z) -> LikelihoodField:
         return LikelihoodField.from_log(self.grid, self.log_likelihoods(z))
+
+
+def _block_sq_dists(dx2: np.ndarray, dy2: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Squared distances of cells start..stop-1 (x-major) to the training points.
+
+    One row per cell: dx2[ix] + dy2[iy], added one grid column at a time.
+    """
+    height = dy2.shape[0]
+    D = np.empty((stop - start, dx2.shape[1]))
+    for ix in range(start // height, (stop - 1) // height + 1):
+        lo, hi = max(start, ix * height), min(stop, (ix + 1) * height)
+        np.add(dx2[ix], dy2[lo - ix * height : hi - ix * height], out=D[lo - start : hi - start])
+    return D
 
 
 def point_likelihood(pipeline: Pipeline, z, x_star) -> float:

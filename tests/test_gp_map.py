@@ -113,6 +113,28 @@ class TestKernelFloor:
         unit = np.exp(-broadcast_sq_dists(A, B) / length_scale**2)
         assert np.array_equal(K, np.where(unit >= gp_map._KERNEL_FLOOR, unit, 0.0))
 
+    @pytest.mark.parametrize("length_scale", [1.0, 2.0, 7.3])
+    def test_clamped_exponent_equals_exp_then_floor(self, length_scale):
+        # Points at squared distance l^2 t from the origin, for t within a few
+        # ulp of -ln(1e-100), where the floor decides, around the clamp, and
+        # beyond exp's underflow at 745, where only the clamp acts.
+        edge = -math.log(gp_map._KERNEL_FLOOR)
+        ts = [edge, -gp_map._EXP_CLAMP, 745.2, 800.0, 1e4, 1e300]
+        for t in ts[:2]:
+            up = down = t
+            for _ in range(6):
+                up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+                ts += [up, down]
+        A = np.zeros((1, 2))
+        B = np.column_stack([np.sqrt(np.array(ts)) * length_scale, np.zeros(len(ts))])
+        K = gp_map._unit_kernel(A, B, length_scale)
+        exponents = -broadcast_sq_dists(A, B) / length_scale**2
+        unit = np.exp(exponents)
+        assert np.array_equal(K, np.where(unit < gp_map._KERNEL_FLOOR, 0.0, unit))
+        near_edge = np.abs(exponents + edge) < 1e-12
+        assert (K[near_edge] == 0.0).any() and (K[near_edge] > 0.0).any()
+        assert (exponents < -745.0).sum() >= 3
+
     @pytest.fixture(scope="class")
     def default_survey(self):
         """The default synthetic survey (seed 0, A4's split) and its 1 m evaluation grid."""
@@ -149,7 +171,8 @@ class TestKernelFloor:
         assert pipes[1].gp.hyperparams.length_scale == 2.0
 
         cross = gp_map._unit_kernel(train_norm.X, grid.cell_centers(), 2.0)
-        monkeypatch.setattr(gp_map, "_KERNEL_FLOOR", 0.0)  # the untruncated kernel
+        monkeypatch.setattr(gp_map, "_KERNEL_FLOOR", 0.0)  # the untruncated,
+        monkeypatch.setattr(gp_map, "_EXP_CLAMP", -np.inf)  # unclamped kernel
         exact = gp_map._unit_kernel(train_norm.X, grid.cell_centers(), 2.0)
         zeroed = np.mean((cross == 0.0) & (exact > 0.0))
         assert zeroed > 0.1, zeroed

@@ -1,10 +1,16 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from rss_atlas import dataset as dsm
 from rss_atlas import gp_map, localization as loc
@@ -145,49 +151,118 @@ def random_pipeline(n, d, hp, seed=0):
     )
 
 
+BLOCK_NS = [60, 150, 300, 418]
+BLOCK_HPS = {
+    "l10": gp_map.GpHyperparams(signal_variance=1.0, length_scale=10.0, noise_variance=0.05),
+    "l40": gp_map.GpHyperparams(signal_variance=0.5, length_scale=40.0, noise_variance=0.01),
+}
+BLOCK_SHAPES = [(100, 60), (41, 101)]
+
+
+def blocked_vs_whole_mismatches(n, hp_id, shape):
+    """Names of the FieldBuilder tables that differ from one whole-grid predict_batch."""
+    pipe = random_pipeline(n, 5, BLOCK_HPS[hp_id])
+    grid = loc.Grid(-5.0, -5.0, 1.0, *shape)
+    builder = loc.FieldBuilder(pipe, grid)
+    means, variances = gp_map.predict_batch(pipe.gp, grid.cell_centers())
+    want = {
+        "_means": means,
+        "_mean_sq": np.sum(means * means, axis=1),
+        "_variances": variances,
+        "_log_norm": -0.5 * 5 * (loc.LOG_2PI + np.log(variances)),
+    }
+    return [name for name, table in want.items() if not np.array_equal(getattr(builder, name), table)]
+
+
+_ONE_THREAD_CHILD = """
+import json, sys
+import test_localization as t
+print(json.dumps([t.blocked_vs_whole_mismatches(*case) for case in json.loads(sys.argv[1])]))
+"""
+
+
+def n_by_k_predict_batch(model, X_star):
+    """predict_batch with the cross-kernel laid out n x k and scipy's default
+    solve, which copies it to Fortran order: the oracle for the k x n layout."""
+    hp = model.hyperparams
+    k_star = gp_map.kernel_matrix(model.X_train, X_star, hp)
+    means = k_star.T @ model.W
+    v = solve_triangular(model.chol_factor, k_star, lower=True)
+    v *= v
+    variances = hp.signal_variance + hp.noise_variance - np.sum(v, axis=0)
+    return means, np.where(variances < 1e-12, 1e-12, variances)
+
+
 class TestFieldBuilder:
-    @pytest.mark.parametrize("n", [60, 150, 300, 418])
-    @pytest.mark.parametrize(
-        "hp",
-        [
-            gp_map.GpHyperparams(signal_variance=1.0, length_scale=10.0, noise_variance=0.05),
-            gp_map.GpHyperparams(signal_variance=0.5, length_scale=40.0, noise_variance=0.01),
-        ],
-        ids=["l10", "l40"],
-    )
-    @pytest.mark.parametrize("shape", [(100, 60), (41, 101)])
-    def test_blocks_equal_one_whole_grid_prediction(self, n, hp, shape):
-        pipe = random_pipeline(n, 5, hp)
+    @pytest.fixture(scope="class")
+    def one_thread_mismatches(self):
+        """blocked_vs_whole_mismatches of every case, all in one child process
+        with one OpenBLAS thread, the only setting the equality is stated for."""
+        cases = [(n, h, s) for n in BLOCK_NS for h in BLOCK_HPS for s in BLOCK_SHAPES]
+        paths = [str(Path(loc.__file__).parents[1]), str(Path(__file__).parent)]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, paths + [env.get("PYTHONPATH")]))
+        child = subprocess.run(
+            [sys.executable, "-c", _ONE_THREAD_CHILD, json.dumps(cases)],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert child.returncode == 0, child.stderr
+        return dict(zip(cases, json.loads(child.stdout)))
+
+    @pytest.mark.parametrize("n", BLOCK_NS)
+    @pytest.mark.parametrize("hp", list(BLOCK_HPS))
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+    def test_blocks_equal_one_whole_grid_prediction(self, one_thread_mismatches, n, hp, shape):
         grid = loc.Grid(-5.0, -5.0, 1.0, *shape)
         assert grid.n_cells > 2 * loc.FieldBuilder._BLOCK
         assert grid.n_cells % loc.FieldBuilder._BLOCK != 0
+        assert one_thread_mismatches[n, hp, shape] == []
+
+    @pytest.mark.parametrize("length_scale", [2.0, 10.0, 40.0])
+    def test_tables_and_predictions_equal_the_n_by_k_oracle(self, length_scale):
+        hp = gp_map.GpHyperparams(signal_variance=0.5, length_scale=length_scale, noise_variance=0.05)
+        pipe = random_pipeline(300, 10, hp)
+        grid = loc.Grid(-25.0, -20.0, 1.5, 103, 61)
+        blocks = loc.FieldBuilder._blocks(grid.n_cells)
+        assert len(blocks) > 2 and all(start % grid.height for start, _ in blocks[1:])
         builder = loc.FieldBuilder(pipe, grid)
-        means, variances = gp_map.predict_batch(pipe.gp, grid.cell_centers())
-        assert np.array_equal(builder._means, means)
-        assert np.array_equal(builder._mean_sq, np.sum(means * means, axis=1))
-        assert np.array_equal(builder._variances, variances)
-        log_norm = -0.5 * 5 * (loc.LOG_2PI + np.log(variances))
-        assert np.array_equal(builder._log_norm, log_norm)
+        centers = grid.cell_centers()
+        # Block by block, so both sides solve the same columns in one call
+        # and must agree at any BLAS thread count.
+        for start, stop in blocks:
+            means, variances = n_by_k_predict_batch(pipe.gp, centers[start:stop])
+            assert np.array_equal(builder._means[start:stop], means)
+            assert np.array_equal(builder._mean_sq[start:stop], np.sum(means * means, axis=1))
+            assert np.array_equal(builder._variances[start:stop], variances)
+
+        got, want = gp_map.predict_batch(pipe.gp, centers), n_by_k_predict_batch(pipe.gp, centers)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        for x_star in centers[:: grid.n_cells // 7]:
+            mean, variance = gp_map.predict(pipe.gp, x_star)
+            want_means, want_variances = n_by_k_predict_batch(pipe.gp, x_star[None, :])
+            assert np.array_equal(mean, want_means[0])
+            assert variance == want_variances[0]
 
     def test_precompute_memory_is_bounded_by_the_block(self):
-        # numpy reports its buffers to tracemalloc. The grid is split evenly,
-        # so no block reaches twice the block width. The bound allows the
-        # per-cell tables plus four n x (2 * block) temporaries of the GP
-        # prediction; 16,384-cell blocks need about three times that here.
-        n, d, block = 300, 16, 2048
-        assert loc.FieldBuilder._BLOCK <= block
+        # numpy reports its buffers to tracemalloc. Beyond the per-cell tables
+        # and the dx^2 / dy^2 axis tables, the precompute holds one n x block
+        # buffer at a time, plus small per-block temporaries (the floor's mask,
+        # the block's means). Holding a second n x block array, as a kernel
+        # copied to Fortran order or a buffer kept across blocks does, breaks
+        # the bound of 1.5 n x block arrays for the widest block.
+        n, d = 300, 16
         hp = gp_map.GpHyperparams(signal_variance=1.0, length_scale=10.0, noise_variance=0.05)
         pipe = random_pipeline(n, d, hp)
         grid = loc.Grid(0.0, 0.0, 1.0, 200, 100)
-        tables = 8 * grid.n_cells * (d + 3 + 2)  # means, mean_sq, variances, log_norm, centers
-        temporaries = 8 * 4 * n * (2 * block)
+        widest = max(stop - start for start, stop in loc.FieldBuilder._blocks(grid.n_cells))
+        tables = 8 * grid.n_cells * (d + 3) + 8 * n * (grid.width + grid.height)
         tracemalloc.start()
         try:
             loc.FieldBuilder(pipe, grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= tables + temporaries
+        assert peak <= tables + 8 * 1.5 * n * widest
 
 
 def meshgrid_ideal_posterior(grid, x_true, sigma):
