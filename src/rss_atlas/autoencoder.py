@@ -179,25 +179,37 @@ def init_params(input_dim: int, config: TrainConfig) -> AutoencoderParams:
 
 
 def _half_forward(hidden: LayerParams, head: LayerParams, x, mode, dropout_rate, rng):
-    """dense -> tanh -> batch norm -> dropout -> dense(linear)."""
-    a = x @ hidden.weights.T + hidden.biases
-    t = np.tanh(a)
+    """dense -> tanh -> batch norm -> dropout -> dense(linear).
+
+    Each operation is done in place where its input is not kept, on the
+    same operands and in the same order as the plain expressions. The
+    batch statistics are mu = sum(t)/b and var = sum((t - mu)^2)/b over
+    the batch axis, the operations t.mean(axis=0) and t.var(axis=0) run,
+    with t - mu computed once for both and for xhat.
+    """
+    t = x @ hidden.weights.T
+    t += hidden.biases
+    np.tanh(t, out=t)
     if mode == "training":
-        mu = t.mean(axis=0)
-        var = t.var(axis=0)
+        b = t.shape[0]
+        mu = t.sum(axis=0) / b
+        xhat = t - mu
+        d = xhat * xhat  # squared deviations; the buffer then holds d
+        var = d.sum(axis=0) / b
     else:
-        mu = hidden.bn_running_mean
-        var = hidden.bn_running_var
+        mu, var = hidden.bn_running_mean, hidden.bn_running_var
+        xhat = t - mu
+        d = np.empty_like(t)
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (t - mu) * inv_std
-    y = hidden.bn_gamma * xhat + hidden.bn_beta
+    xhat *= inv_std
+    np.multiply(hidden.bn_gamma, xhat, out=d)
+    d += hidden.bn_beta
+    mask = None
     if mode == "training" and dropout_rate > 0.0:
-        mask = (rng.random(y.shape) >= dropout_rate) / (1.0 - dropout_rate)
-        d = y * mask
-    else:
-        mask = None
-        d = y
-    out = d @ head.weights.T + head.biases
+        mask = (rng.random(d.shape) >= dropout_rate) / (1.0 - dropout_rate)
+        d *= mask
+    out = d @ head.weights.T
+    out += head.biases
     cache = {
         "x": x, "t": t, "xhat": xhat, "inv_std": inv_std, "mask": mask, "d": d,
         "batch_mean": mu if mode == "training" else None,
@@ -252,34 +264,67 @@ def sparsity_loss(latent: np.ndarray, lambda_r: float) -> float:
     return float(lambda_r * np.sum(np.abs(latent)))
 
 
-# Entries of the (rows x n x m) difference block _pairwise_sq_dists holds at a
-# time: 2 MiB of doubles, so a minibatch (64 x 64 x 10 latent) is one block.
+# Entries of the (m x rows x n) difference block _pairwise_sq_dists holds at a
+# time: 2 MiB of doubles, so a minibatch (10 latent x 64 x 64) is one block.
 _BLOCK_ELEMS = 1 << 18
 
 
 def _pairwise_sq_dists(P: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between all row pairs of P (n x n).
 
-    Rows are taken in blocks so the difference temporary holds at most
-    _BLOCK_ELEMS entries (one row's n x m if that is more). Each entry is
-    np.sum((P[i] - P[j])**2) over the coordinate axis whatever the block
-    size, so the distance between two rows has the same bits in a
-    minibatch as in the full n x n matrix.
+    Each entry has the bits of np.sum((P[i] - P[j])**2): numpy sums a
+    contiguous axis in its pairwise order, and the m squared differences
+    are added here in that order, one whole (rows x n) plane at a time.
+    Fewer than 8 terms are added in sequence. Up to 128 go to eight
+    accumulators, the j-th taking terms j, j+8, j+16, ... of the largest
+    multiple of 8; they are combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+    and the remaining terms added in sequence. More than 128 are split at
+    half the count rounded down to a multiple of 8, and the two halves'
+    sums added. So the distance between two rows has the same bits in a
+    minibatch as in the full n x n matrix, whatever the block size.
+
+    The differences come from a contiguous P^T, block by block, into one
+    (m x rows x n) buffer of at most _BLOCK_ELEMS entries (one row's m x n
+    if that is more), where they are squared and summed in place.
     """
+
+    def pairwise_sum(d):
+        k = d.shape[0]
+        if k > 128:
+            half = k // 2 - (k // 2) % 8
+            acc = pairwise_sum(d[:half])
+            acc += pairwise_sum(d[half:])
+            return acc
+        rest = 1
+        if k >= 8:
+            rest = k - k % 8
+            for i in range(8, rest, 8):
+                d[:8] += d[i:i + 8]
+            d[0:8:2] += d[1:8:2]
+            d[0:8:4] += d[2:8:4]
+            d[0] += d[4]
+        for i in range(rest, k):
+            d[0] += d[i]
+        return d[0]
+
     n, m = P.shape
     rows = max(1, _BLOCK_ELEMS // max(1, n * m))
+    PT = np.ascontiguousarray(P.T)
     D = np.empty((n, n))
+    block = np.empty((m, min(rows, n), n))
     for a in range(0, n, rows):
-        d = P[a:a + rows, None, :] - P[None, :, :]
+        d = block[:, :min(rows, n - a)]
+        np.subtract(PT[:, a:a + rows, None], PT[:, None, :], out=d)
         d *= d
-        np.sum(d, axis=2, out=D[a:a + rows])
+        D[a:a + rows] = pairwise_sum(d)
     return D
 
 
 def _distance_loss_from(Dz: np.ndarray, Dl: np.ndarray, lambda_d: float) -> float:
     """Isometry penalty from input (Dz) and latent (Dl) squared distances."""
     diff = Dz - Dl
-    return float(lambda_d * np.sum(diff * diff))
+    diff *= diff
+    return float(lambda_d * np.sum(diff))
 
 
 def _distance_grad_from(
@@ -292,7 +337,10 @@ def _distance_grad_from(
     g_k = 8 * lambda_d * sum_j (|l_k-l_j|^2 - |z_k-z_j|^2) (l_k - l_j).
     """
     coef = Dl - Dz  # symmetric
-    return 8.0 * lambda_d * (coef.sum(axis=1)[:, None] * latent - coef @ latent)
+    g = coef.sum(axis=1)[:, None] * latent
+    g -= coef @ latent
+    g *= 8.0 * lambda_d
+    return g
 
 
 def distance_loss(z: np.ndarray, latent: np.ndarray, lambda_d: float) -> float:
@@ -310,58 +358,76 @@ def total_loss(z, latent, z_hat, config: TrainConfig) -> float:
     )
 
 
-def _half_backward(hidden: LayerParams, head: LayerParams, cache, g_out):
-    """Backprop through one half; returns (grad wrt half input, tensor grads).
+def _half_backward(hidden: LayerParams, head: LayerParams, cache, g_out, grads, input_grad=True):
+    """Backprop through one half into grads; returns the grad wrt the half's input.
 
-    Tensor grads come in PARAM_KEYS order (hidden w, b, bn_gamma, bn_beta, head w, b).
+    grads holds the half's six tensor gradients in PARAM_KEYS order (hidden
+    w, b, bn_gamma, bn_beta, head w, b); each is written with out=. With
+    input_grad False the input gradient is not computed and None returned.
     """
-    d = cache["d"]
-    g_head_w = g_out.T @ d
-    g_head_b = g_out.sum(axis=0)
-    g_d = g_out @ head.weights
+    g_hidden_w, g_hidden_b, g_gamma, g_beta, g_head_w, g_head_b = grads
+    np.matmul(g_out.T, cache["d"], out=g_head_w)
+    np.sum(g_out, axis=0, out=g_head_b)
+    g = g_out @ head.weights  # g_d, then g_y, g_xhat, g_t and g_a in place
 
-    g_y = g_d if cache["mask"] is None else g_d * cache["mask"]
+    if cache["mask"] is not None:
+        g *= cache["mask"]
     xhat = cache["xhat"]
-    g_gamma = np.sum(g_y * xhat, axis=0)
-    g_beta = np.sum(g_y, axis=0)
-    g_xhat = g_y * hidden.bn_gamma
+    tmp = g * xhat
+    np.sum(tmp, axis=0, out=g_gamma)
+    np.sum(g, axis=0, out=g_beta)
+    g *= hidden.bn_gamma
 
     inv_std = cache["inv_std"]
     if cache["mode"] == "training":
-        # Batch statistics are functions of t; push gradients through them.
+        # Batch statistics are functions of t; push gradients through them:
+        # g_t = (inv_std / b) * (b * g_xhat - sum(g_xhat) - xhat * sum(g_xhat * xhat)).
         b = xhat.shape[0]
-        g_t = (inv_std / b) * (
-            b * g_xhat - g_xhat.sum(axis=0) - xhat * np.sum(g_xhat * xhat, axis=0)
-        )
+        g_sum = g.sum(axis=0)
+        np.multiply(g, xhat, out=tmp)
+        np.multiply(xhat, tmp.sum(axis=0), out=tmp)
+        g *= b
+        g -= g_sum
+        g -= tmp
+        g *= inv_std / b
     else:
-        g_t = g_xhat * inv_std
+        g *= inv_std
 
     t = cache["t"]
-    g_a = g_t * (1.0 - t * t)
-    x = cache["x"]
-    g_hidden_w = g_a.T @ x
-    g_hidden_b = g_a.sum(axis=0)
-    g_x = g_a @ hidden.weights
-    return g_x, (g_hidden_w, g_hidden_b, g_gamma, g_beta, g_head_w, g_head_b)
+    np.multiply(t, t, out=tmp)
+    np.subtract(1.0, tmp, out=tmp)
+    g *= tmp
+    np.matmul(g.T, cache["x"], out=g_hidden_w)
+    np.sum(g, axis=0, out=g_hidden_b)
+    return g @ hidden.weights if input_grad else None
 
 
 def _backward_from_cache(
     params: AutoencoderParams, batch: np.ndarray, config: TrainConfig, cache,
-    g_dist: np.ndarray | None = None,
+    g_dist: np.ndarray | None = None, grads: list[np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
     """Backprop the reconstruction and sparsity terms of config.
 
     g_dist is the distance penalty's gradient with respect to the latent
-    (see _distance_grad_from); None adds no distance term.
+    (see _distance_grad_from); None adds no distance term. grads, one
+    array per tensor in PARAM_KEYS order, receives the gradients (new
+    arrays when None); the returned dict maps each key to its array.
     """
+    if grads is None:
+        grads = [np.empty_like(params.get_tensor(k)) for k in PARAM_KEYS]
     latent, recon = cache["latent"], cache["recon"]
-    g_recon = 2.0 * (recon - batch)
-    g_latent_dec, dec = _half_backward(params.dec_hidden, params.dec_out, cache["dec"], g_recon)
-    g_latent = g_latent_dec + config.lambda_r * np.sign(latent)
+    g_recon = recon - batch
+    g_recon *= 2.0
+    g_latent = _half_backward(params.dec_hidden, params.dec_out, cache["dec"], g_recon, grads[6:])
+    g_sparse = np.sign(latent)
+    g_sparse *= config.lambda_r
+    g_latent += g_sparse
     if g_dist is not None:
-        g_latent = g_latent + g_dist
-    _, enc = _half_backward(params.enc_hidden, params.enc_out, cache["enc"], g_latent)
-    return dict(zip(PARAM_KEYS, enc + dec))
+        g_latent += g_dist
+    _half_backward(
+        params.enc_hidden, params.enc_out, cache["enc"], g_latent, grads[:6], input_grad=False,
+    )
+    return dict(zip(PARAM_KEYS, grads))
 
 
 def gradients(
@@ -380,6 +446,12 @@ def gradients(
     return _training_step(params, batch, Dz, config.lambda_d, config, seed, mode)[1]
 
 
+def _tensor_views(vec: np.ndarray, params: AutoencoderParams) -> list[np.ndarray]:
+    """Consecutive views of vec shaped like params' tensors, in PARAM_KEYS order."""
+    ends = np.cumsum([params.get_tensor(k).size for k in PARAM_KEYS])[:-1]
+    return [v.reshape(params.get_tensor(k).shape) for k, v in zip(PARAM_KEYS, np.split(vec, ends))]
+
+
 def _update_running_stats(layer: LayerParams, cache, momentum: float) -> None:
     layer.bn_running_mean = momentum * layer.bn_running_mean + (1.0 - momentum) * cache["batch_mean"]
     layer.bn_running_var = momentum * layer.bn_running_var + (1.0 - momentum) * cache["batch_var"]
@@ -388,13 +460,15 @@ def _update_running_stats(layer: LayerParams, cache, momentum: float) -> None:
 def _training_step(
     params: AutoencoderParams, batch: np.ndarray, Dz: np.ndarray | None, lambda_d: float,
     config: TrainConfig, seed: int, mode: str = "training",
+    grads: list[np.ndarray] | None = None,
 ) -> tuple[tuple[float, float, float], dict[str, np.ndarray], dict]:
     """One forward pass in `mode` (see gradients) and its backward pass.
 
     Dz holds the batch's input-space squared distances and lambda_d the
     distance weight used for this batch; with Dz None the distance term is
     skipped and reported as 0.0. Returns the (recon, sparsity, distance)
-    losses, the gradients and the forward cache.
+    losses, the gradients (written into grads when given, see
+    _backward_from_cache) and the forward cache.
     """
     latent, recon, cache = forward(
         params, batch, mode=mode, seed=seed, dropout_rate=config.dropout_rate,
@@ -405,7 +479,7 @@ def _training_step(
         dist = _distance_loss_from(Dz, Dl, lambda_d)
         g_dist = _distance_grad_from(Dz, Dl, latent, lambda_d)
     losses = (reconstruction_loss(batch, recon), sparsity_loss(latent, config.lambda_r), dist)
-    return losses, _backward_from_cache(params, batch, config, cache, g_dist), cache
+    return losses, _backward_from_cache(params, batch, config, cache, g_dist, grads), cache
 
 
 def train(
@@ -418,8 +492,10 @@ def train(
     The distance weight is divided by the square of each minibatch's size
     so the pairwise sum does not grow with batch size. Passing the
     normalization stats adds a dBm-scale RMSE to the report. The trained
-    tensors are views of one vector theta, so an Adam step is five vector
-    operations with Adam's per-element formulas.
+    tensors are views of one vector theta and each step writes its
+    gradients into views of one vector g, so an Adam step is m = b1*m +
+    (1-b1)*g, v = b2*v + (1-b2)*g*g and theta -= scale*m / (sqrt(v) + eps)
+    over whole vectors, evaluated in place in two scratch vectors.
 
     Input rows do not change between epochs, so when lambda_d is nonzero
     their n x n squared distances are computed once per call (8*n^2 bytes:
@@ -441,10 +517,11 @@ def train(
 
     rng = np.random.default_rng(config.seed)
     theta = np.concatenate([params.get_tensor(k).ravel() for k in PARAM_KEYS])
-    ends = np.cumsum([params.get_tensor(k).size for k in PARAM_KEYS])[:-1]
-    for key, view in zip(PARAM_KEYS, np.split(theta, ends)):
-        params.set_tensor(key, view.reshape(params.get_tensor(key).shape))
-    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    for key, view in zip(PARAM_KEYS, _tensor_views(theta, params)):
+        params.set_tensor(key, view)
+    g = np.empty_like(theta)
+    grads = _tensor_views(g, params)
+    m, v, s1, s2 = (np.zeros_like(theta) for _ in range(4))
     step = 0
     b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
 
@@ -457,9 +534,9 @@ def train(
                 if idx.size < 2:
                     continue  # batch norm is undefined on a single row
                 mask_seed = int(rng.integers(0, 2**63 - 1))
-                (recon, sparse, dist), grads, cache = _training_step(
-                    params, Z[idx], None if Dz is None else Dz[np.ix_(idx, idx)],
-                    config.lambda_d / float(idx.size) ** 2, config, mask_seed,
+                (recon, sparse, dist), _, cache = _training_step(
+                    params, Z[idx], None if Dz is None else Dz[idx][:, idx],
+                    config.lambda_d / float(idx.size) ** 2, config, mask_seed, grads=grads,
                 )
                 ep_recon += recon
                 ep_sparse += sparse
@@ -469,12 +546,18 @@ def train(
 
                 step += 1
                 scale = config.learning_rate * math.sqrt(1.0 - b2**step) / (1.0 - b1**step)
-                g = np.concatenate([grads[k].ravel() for k in PARAM_KEYS])
                 m *= b1
-                m += (1.0 - b1) * g
+                np.multiply(g, 1.0 - b1, out=s1)
+                m += s1
                 v *= b2
-                v += (1.0 - b2) * (g * g)
-                theta -= (scale * m) / (np.sqrt(v) + eps)
+                np.multiply(g, g, out=s1)
+                s1 *= 1.0 - b2
+                v += s1
+                np.multiply(m, scale, out=s1)
+                np.sqrt(v, out=s2)
+                s2 += eps
+                s1 /= s2
+                theta -= s1
 
             total = ep_recon + ep_sparse + ep_dist
             if not math.isfinite(total):

@@ -22,6 +22,7 @@ from .errors import ConfigError, DataError, LikelihoodUnderflowError, RssAtlasEr
 
 LOG_2PI = math.log(2.0 * math.pi)
 _Q_FLOOR = 1e-300
+_LOG_MASS_CLAMP = -746.0  # exp(-746.0) is 0.0, as exp of anything below it
 
 
 @dataclass(frozen=True)
@@ -111,11 +112,14 @@ class LikelihoodField:
             raise LikelihoodUnderflowError(
                 "every cell's log likelihood is non-finite; field cannot be normalized"
             )
-        shifted = np.exp(lv - peak)
-        total = float(shifted.sum())
-        mass = shifted / total
+        mass = lv - peak
+        # exp is exactly 0.0 below about -745.13 either way; the clamp keeps
+        # very negative arguments off exp's slow path.
+        np.maximum(mass, _LOG_MASS_CLAMP, out=mass)
+        np.exp(mass, out=mass)
+        mass /= float(mass.sum())
         # exp/sum rounding can leave the total a few ulp off 1.
-        mass = mass / float(mass.sum())
+        mass /= float(mass.sum())
         return cls(grid=grid, mass=mass)
 
     def argmax_center(self) -> tuple[float, float]:
@@ -242,10 +246,17 @@ class FieldBuilder:
     def log_likelihoods(self, z) -> np.ndarray:
         """Flat per-cell log of the product of per-dimension densities."""
         f = self.pipeline.encode(np.asarray(z, dtype=float))
-        # |m - f|^2 expanded so the per-measurement work is one matvec.
-        resid_sq = self._mean_sq - 2.0 * (self._means @ f) + float(f @ f)
-        np.maximum(resid_sq, 0.0, out=resid_sq)
-        return self._log_norm - 0.5 * resid_sq / self._variances
+        # |m - f|^2 expanded so the per-measurement work is one matvec; then
+        # log_norm - 0.5 * |m - f|^2 / variance, all in the matvec's buffer.
+        out = self._means @ f
+        out *= 2.0
+        np.subtract(self._mean_sq, out, out=out)
+        out += float(f @ f)
+        np.maximum(out, 0.0, out=out)
+        out *= 0.5
+        out /= self._variances
+        np.subtract(self._log_norm, out, out=out)
+        return out
 
     def field_for(self, z) -> LikelihoodField:
         return LikelihoodField.from_log(self.grid, self.log_likelihoods(z))

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rss_atlas import autoencoder as ae
+from rss_atlas import dataset as dsm
 from rss_atlas.errors import ConfigError, DataError, TrainingDivergedError
 
 TOY_CFG = ae.TrainConfig(
@@ -273,6 +275,31 @@ class TestPrecomputedDistances:
             idx = rng.permutation(300)[:64]
             assert np.array_equal(Dz[np.ix_(idx, idx)], ae._pairwise_sq_dists(Z[idx]))
 
+    # Both sides of each branch edge of numpy's pairwise sum (8 and 128
+    # terms), a remainder of 1 and 7 past a multiple of 8, and two levels
+    # of the split above 128.
+    @pytest.mark.parametrize("m", [1, 7, 8, 9, 15, 16, 17, 91, 127, 128, 129, 200, 300])
+    def test_equals_numpy_sum_at_every_branch_edge(self, rng, m):
+        # Enough rows for at least three blocks of _BLOCK_ELEMS entries.
+        n = math.isqrt(3 * ae._BLOCK_ELEMS // m) + 2
+        assert n > 2 * (ae._BLOCK_ELEMS // (n * m))
+        P = rng.normal(size=(n, m)) * rng.lognormal(sigma=2.0, size=m)
+        d = P[:, None, :] - P[None, :, :]
+        assert np.array_equal(ae._pairwise_sq_dists(P), np.sum(d * d, axis=2))
+
+    def test_difference_block_stays_within_block_elems(self, rng):
+        # numpy reports its buffers to tracemalloc. Beyond the n x n result
+        # and the transposed copy of P, only one difference block of at most
+        # _BLOCK_ELEMS doubles is alive at a time.
+        P = rng.normal(size=(4096, 3))
+        tracemalloc.start()
+        try:
+            D = ae._pairwise_sq_dists(P)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - D.nbytes - P.nbytes <= 8 * ae._BLOCK_ELEMS + 64 * 1024
+
     def test_training_step_matches_gradients(self, rng):
         cfg = ae.TrainConfig(latent_dim=5, hidden_dim=12, seed=2)
         params = toy_params(rng, input_dim=20, cfg=cfg)
@@ -335,7 +362,176 @@ def per_key_adam_train(ds, config):
     return params, losses
 
 
+def frozen_half_forward(hidden, head, x, dropout_rate, rng):
+    """Reference for training-mode _half_forward, in allocating numpy expressions."""
+    a = x @ hidden.weights.T + hidden.biases
+    t = np.tanh(a)
+    mu = t.mean(axis=0)
+    var = t.var(axis=0)
+    inv_std = 1.0 / np.sqrt(var + ae.BN_EPS)
+    xhat = (t - mu) * inv_std
+    y = hidden.bn_gamma * xhat + hidden.bn_beta
+    if dropout_rate > 0.0:
+        mask = (rng.random(y.shape) >= dropout_rate) / (1.0 - dropout_rate)
+        d = y * mask
+    else:
+        mask = None
+        d = y
+    out = d @ head.weights.T + head.biases
+    cache = {"x": x, "t": t, "xhat": xhat, "inv_std": inv_std, "mask": mask, "d": d,
+             "batch_mean": mu, "batch_var": var}
+    return out, cache
+
+
+def frozen_half_backward(hidden, head, cache, g_out):
+    """Reference for training-mode _half_backward, in allocating numpy expressions."""
+    d = cache["d"]
+    g_head_w = g_out.T @ d
+    g_head_b = g_out.sum(axis=0)
+    g_d = g_out @ head.weights
+    g_y = g_d if cache["mask"] is None else g_d * cache["mask"]
+    xhat = cache["xhat"]
+    g_gamma = np.sum(g_y * xhat, axis=0)
+    g_beta = np.sum(g_y, axis=0)
+    g_xhat = g_y * hidden.bn_gamma
+    b = xhat.shape[0]
+    g_t = (cache["inv_std"] / b) * (
+        b * g_xhat - g_xhat.sum(axis=0) - xhat * np.sum(g_xhat * xhat, axis=0)
+    )
+    t = cache["t"]
+    g_a = g_t * (1.0 - t * t)
+    x = cache["x"]
+    return g_a @ hidden.weights, (g_a.T @ x, g_a.sum(axis=0), g_gamma, g_beta, g_head_w, g_head_b)
+
+
+def frozen_pairwise_sq_dists(P):
+    """Reference for _pairwise_sq_dists: (rows x n x m) blocks summed by np.sum."""
+    n, m = P.shape
+    rows = max(1, ae._BLOCK_ELEMS // max(1, n * m))
+    D = np.empty((n, n))
+    for a in range(0, n, rows):
+        d = P[a:a + rows, None, :] - P[None, :, :]
+        d *= d
+        np.sum(d, axis=2, out=D[a:a + rows])
+    return D
+
+
+def frozen_reference_train(ds, config):
+    """Reference for train: allocating forward and backward, np.ix_ batch
+    distances and Adam on a concatenated gradient; train must equal it bit
+    for bit."""
+    Z = ds.Z
+    params = ae.init_params(ds.m, config)
+    Dz = frozen_pairwise_sq_dists(Z) if config.lambda_d != 0.0 else None
+    rng = np.random.default_rng(config.seed)
+    theta = np.concatenate([params.get_tensor(k).ravel() for k in ae.PARAM_KEYS])
+    ends = np.cumsum([params.get_tensor(k).size for k in ae.PARAM_KEYS])[:-1]
+    for key, view in zip(ae.PARAM_KEYS, np.split(theta, ends)):
+        params.set_tensor(key, view.reshape(params.get_tensor(key).shape))
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    b1, b2, eps, mom = config.adam_beta1, config.adam_beta2, config.adam_eps, config.bn_momentum
+    losses, step = [], 0
+    for _ in range(config.epochs):
+        perm = rng.permutation(ds.n)
+        epoch = [0.0, 0.0, 0.0]
+        for start in range(0, ds.n, config.batch_size):
+            idx = perm[start:start + config.batch_size]
+            if idx.size < 2:
+                continue
+            mask_rng = np.random.default_rng(int(rng.integers(0, 2**63 - 1)))
+            batch = Z[idx]
+            latent, enc = frozen_half_forward(
+                params.enc_hidden, params.enc_out, batch, config.dropout_rate, mask_rng
+            )
+            recon, dec = frozen_half_forward(
+                params.dec_hidden, params.dec_out, latent, config.dropout_rate, mask_rng
+            )
+            dist, g_dist = 0.0, None
+            if Dz is not None:
+                lam = config.lambda_d / float(idx.size) ** 2
+                Dzb = Dz[np.ix_(idx, idx)]
+                Dl = frozen_pairwise_sq_dists(latent)
+                diff = Dzb - Dl
+                dist = float(lam * np.sum(diff * diff))
+                coef = Dl - Dzb
+                g_dist = 8.0 * lam * (coef.sum(axis=1)[:, None] * latent - coef @ latent)
+            r = batch - recon
+            epoch[0] += float(np.sum(r * r))
+            epoch[1] += float(config.lambda_r * np.sum(np.abs(latent)))
+            epoch[2] += dist
+
+            g_latent, dec_grads = frozen_half_backward(
+                params.dec_hidden, params.dec_out, dec, 2.0 * (recon - batch)
+            )
+            g_latent = g_latent + config.lambda_r * np.sign(latent)
+            if g_dist is not None:
+                g_latent = g_latent + g_dist
+            _, enc_grads = frozen_half_backward(params.enc_hidden, params.enc_out, enc, g_latent)
+            for layer, c in ((params.enc_hidden, enc), (params.dec_hidden, dec)):
+                layer.bn_running_mean = mom * layer.bn_running_mean + (1.0 - mom) * c["batch_mean"]
+                layer.bn_running_var = mom * layer.bn_running_var + (1.0 - mom) * c["batch_var"]
+
+            step += 1
+            scale = config.learning_rate * math.sqrt(1.0 - b2**step) / (1.0 - b1**step)
+            g = np.concatenate([t.ravel() for t in enc_grads + dec_grads])
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            theta -= (scale * m) / (np.sqrt(v) + eps)
+        losses.append(tuple(epoch))
+    return params, losses
+
+
+@pytest.fixture(scope="module")
+def wide_survey_normalized(small_synth_config):
+    """The small survey with 24 APs, so latent_dim can reach 17."""
+    return dsm.normalize(dsm.synthesize(replace(small_synth_config, n_aps=24), seed=11))[0]
+
+
 class TestTrain:
+    @pytest.mark.parametrize("lambda_d", [0.0, 1e-3])
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.2])
+    @pytest.mark.parametrize("latent_dim", [1, 4, 7, 8, 9, 16, 17])
+    def test_step_equals_frozen_reference(
+        self, wide_survey_normalized, latent_dim, dropout_rate, lambda_d
+    ):
+        # 193 rows in 48-row batches leave one row, which is skipped. The
+        # latent sizes straddle the 8-term branch of the pairwise sum.
+        norm = wide_survey_normalized
+        assert norm.n % 48 == 1 and norm.m > 17
+        cfg = ae.TrainConfig(
+            latent_dim=latent_dim, hidden_dim=12, epochs=3, batch_size=48,
+            lambda_d=lambda_d, dropout_rate=dropout_rate, seed=6,
+        )
+        params, report = ae.train(norm, cfg)
+        want, want_losses = frozen_reference_train(norm, cfg)
+        for key in ae.PARAM_KEYS:
+            assert np.array_equal(params.get_tensor(key), want.get_tensor(key)), key
+        for layer in ("enc_hidden", "dec_hidden"):
+            got, ref = getattr(params, layer), getattr(want, layer)
+            assert np.array_equal(got.bn_running_mean, ref.bn_running_mean)
+            assert np.array_equal(got.bn_running_var, ref.bn_running_var)
+        got_losses = list(zip(report.recon_losses, report.sparsity_losses, report.distance_losses))
+        assert got_losses == want_losses
+
+    def test_train_calls_forward_once_per_step_in_training_mode(
+        self, small_survey_normalized, monkeypatch
+    ):
+        # perfbench counts autoencoder.steps from calls of the module's
+        # forward in training mode, positional or keyword.
+        norm, _ = small_survey_normalized
+        real, modes = ae.forward, []
+
+        def counting_forward(*args, **kwargs):
+            modes.append(args[2] if len(args) > 2 else kwargs.get("mode", "inference"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ae, "forward", counting_forward)
+        ae.train(norm, ae.TrainConfig(latent_dim=4, hidden_dim=8, epochs=3, batch_size=48, seed=0))
+        # 193 rows: four 48-row batches per epoch; the one-row remainder is skipped.
+        assert modes == ["training"] * 12
+
     @pytest.mark.parametrize("lambda_d", [1e-3, 0.0])
     def test_flat_adam_equals_per_key_adam(self, small_survey_normalized, lambda_d):
         # 193 rows in 48-row batches leave one row, which is skipped.

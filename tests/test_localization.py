@@ -113,6 +113,27 @@ class TestLikelihoodField:
             direct = loc.point_likelihood(pipe, z, center)
             assert math.exp(lv[idx]) == pytest.approx(direct, rel=1e-10)
 
+    @pytest.mark.parametrize("offset", [0.0, 123.4, -5e4])
+    def test_from_log_equals_the_unclamped_formula(self, rng, offset):
+        # Log values spanning [-1e5, 0] below the peak, a third of them
+        # around exp's underflow edge (about -745.13) and the -746 clamp.
+        grid = loc.Grid(0.0, 0.0, 1.0, 40, 25)
+        lv = np.concatenate([
+            -rng.uniform(0.0, 1e5, 400),
+            -rng.uniform(744.0, 747.0, 300),
+            -rng.uniform(0.0, 40.0, 296),
+            [0.0, -745.13, -746.0, -np.inf],
+        ]) + offset
+        rng.shuffle(lv)
+        before = lv.copy()
+        got = loc.LikelihoodField.from_log(grid, lv).mass
+        shifted = np.exp(lv - lv.max())
+        mass = shifted / float(shifted.sum())
+        want = mass / float(mass.sum())
+        assert np.array_equal(got, want.reshape(grid.width, grid.height))
+        assert np.array_equal(lv, before)
+        assert 0 < np.count_nonzero(got) < grid.n_cells
+
     def test_underflow_everywhere_is_error(self):
         grid = loc.Grid(0.0, 0.0, 1.0, 2, 2)
         with pytest.raises(loc.LikelihoodUnderflowError):
@@ -242,6 +263,17 @@ class TestFieldBuilder:
             want_means, want_variances = n_by_k_predict_batch(pipe.gp, x_star[None, :])
             assert np.array_equal(mean, want_means[0])
             assert variance == want_variances[0]
+
+    def test_log_likelihoods_equal_the_plain_expression(self, rng):
+        hp = gp_map.GpHyperparams(signal_variance=0.5, length_scale=10.0, noise_variance=0.05)
+        pipe = random_pipeline(120, 6, hp)
+        builder = loc.FieldBuilder(pipe, loc.Grid(-10.0, -10.0, 1.0, 30, 20))
+        for z in rng.normal(size=(5, 6)) * [[0.1], [1.0], [3.0], [10.0], [100.0]]:
+            f = pipe.encode(z)
+            resid_sq = builder._mean_sq - 2.0 * (builder._means @ f) + float(f @ f)
+            np.maximum(resid_sq, 0.0, out=resid_sq)
+            want = builder._log_norm - 0.5 * resid_sq / builder._variances
+            assert np.array_equal(builder.log_likelihoods(z), want)
 
     def test_precompute_memory_is_bounded_by_the_block(self):
         # numpy reports its buffers to tracemalloc. Beyond the per-cell tables
