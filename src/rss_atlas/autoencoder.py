@@ -240,7 +240,7 @@ def forward(
         raise ConfigError(f"unknown mode {mode!r}")
     if mode == "training" and batch.shape[0] < 2:
         raise DataError("training mode needs batch_size >= 2 for batch statistics")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed) if mode == "training" and dropout_rate > 0.0 else None
     latent, enc_cache = _half_forward(
         params.enc_hidden, params.enc_out, batch, mode, dropout_rate, rng
     )

@@ -254,11 +254,15 @@ def synthesize(config: SynthEnvConfig, seed: int) -> SurveyDataset:
 
     if config.shadowing_std_dbm > 0:
         # One Cholesky factor serves every AP: the correlation depends only
-        # on sample locations, shadowing draws are independent per AP.
-        d2 = _sq_dists(X, X)
-        corr = np.exp(-d2 / config.shadowing_correlation_length_m**2)
+        # on sample locations, shadowing draws are independent per AP. The
+        # correlation exp(-d2/l^2) is built in the squared-distance buffer
+        # (d2/(-l^2) rounds as -d2/l^2), which is dropped once factored.
+        corr = _sq_dists(X, X)
+        np.divide(corr, -(config.shadowing_correlation_length_m**2), out=corr)
+        np.exp(corr, out=corr)
         corr[np.diag_indices(n)] += 1e-10
         chol = np.linalg.cholesky(corr)
+        del corr
         gauss = rng.standard_normal((n, config.n_aps))
         Z = Z + config.shadowing_std_dbm * (chol @ gauss)
 

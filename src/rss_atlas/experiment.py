@@ -489,7 +489,12 @@ def run_train(cfg: ExperimentConfig, manifest: Manifest | None = None) -> list[s
 
 
 def run_evaluate(cfg: ExperimentConfig, manifest: Manifest | None = None) -> list[loc.EvalResult]:
-    """Score saved pipelines on the saved test split; `manifest` as in run_train."""
+    """Score saved pipelines on the saved test split; `manifest` as in run_train.
+
+    Every pipeline file must exist before scoring starts, but each is read
+    only when `loc.evaluate` reaches it, so a corrupt one is reported after
+    the ones before it are scored; no eval or summary file is written then.
+    """
     outdir = cfg.output_dir
     own_manifest = manifest is None
     manifest = manifest or Manifest(cfg)
@@ -502,12 +507,10 @@ def run_evaluate(cfg: ExperimentConfig, manifest: Manifest | None = None) -> lis
     stats = _load_artifact(os.path.join(outdir, "norm_stats.json"), _norm_stats_from_doc)
     test_norm = ds_mod.apply_normalization(test_raw, stats)
 
-    pipelines = []
-    for spec in cfg.compressors:
-        path = os.path.join(outdir, f"pipeline_{spec.label}.json")
+    paths = [os.path.join(outdir, f"pipeline_{spec.label}.json") for spec in cfg.compressors]
+    for path in paths:
         if not os.path.exists(path):
             raise DataError(f"missing model file {path}")
-        pipelines.append(_load_artifact(path, pipeline_from_dict))
     manifest.stage("load")
 
     ev = cfg.evaluation
@@ -517,6 +520,8 @@ def run_evaluate(cfg: ExperimentConfig, manifest: Manifest | None = None) -> lis
 
     all_points = np.vstack([train_raw.X, test_raw.X])
     grid = Grid.cover(all_points, ev.cell_size, ev.margin_cells)
+    # Each pipeline is read when its turn comes, so one is held at a time.
+    pipelines = (_load_artifact(path, pipeline_from_dict) for path in paths)
     results = loc.evaluate(pipelines, test_norm, grid, ev.sigma_m, ev.raster_indices)
     manifest.stage("evaluate")
 

@@ -22,7 +22,9 @@ rbf_kernel, the scalar oracle, keeps the untruncated formula.
 A prediction reads the cross-kernel as k x n, one C-order row per query
 point: the mean is one matrix product, and the triangular solve runs in
 place on its transpose, which is Fortran-ordered as LAPACK wants, so a
-block of k query points holds one k x n buffer.
+block of k query points holds one k x n buffer. A caller that keeps the
+means in a table of its own passes that table's rows as the product's
+output, so no k x d copy is made either.
 """
 
 from __future__ import annotations
@@ -211,17 +213,20 @@ def predict_batch(model: GpModel, X_star: np.ndarray) -> tuple[np.ndarray, np.nd
     return predict_from_sq_dists(model, _sq_dists(X_star, model.X_train))
 
 
-def predict_from_sq_dists(model: GpModel, D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def predict_from_sq_dists(
+    model: GpModel, D: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """predict_batch from the k x n squared distances D of the query points to
     the training locations, a C-order array that is overwritten.
 
     D becomes the cross-kernel, then the solve's result: no other k x n
-    array is allocated.
+    array is allocated. The k x d means are written into `out` when it is
+    given (the same matrix product, so the same bits) and returned.
     """
     hp = model.hyperparams
     Kt = _exp_kernel(D, hp.length_scale)
     Kt *= hp.signal_variance
-    means = Kt @ model.W
+    means = np.matmul(Kt, model.W, out=out)
     # No finiteness scan: the factor is finite, and a NaN query location
     # only makes its own row NaN, which the solve carries through.
     v = solve_triangular(

@@ -10,6 +10,7 @@ are computed in log space and normalized with log-sum-exp.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -198,8 +199,11 @@ class FieldBuilder:
     equal width. A block's squared distances to the n training points are
     built from two axis tables, dx^2 (width x n) and dy^2 (height x n),
     into one C-order (block cells) x n buffer, in which
-    `gp_map.predict_from_sq_dists` forms the kernel and solves; the buffer
-    is freed before the next block's is allocated. (b - a)^2 rounds exactly
+    `gp_map.predict_from_sq_dists` forms the kernel and solves; it writes
+    the block's means straight into their rows of the means table, and
+    the buffer is freed before the next block's is allocated. So beyond
+    its own tables a builder holds one block's buffer and the block's small
+    temporaries at a time. (b - a)^2 rounds exactly
     as (a - b)^2, so each block's tables equal predict_batch at its
     cell_centers().
 
@@ -228,10 +232,10 @@ class FieldBuilder:
         self._mean_sq = np.empty(grid.n_cells)
         self._variances = np.empty(grid.n_cells)
         for start, stop in self._blocks(grid.n_cells):
-            means, self._variances[start:stop] = gp_map.predict_from_sq_dists(
-                gp, _block_sq_dists(dx2, dy2, start, stop)
+            means = self._means[start:stop]
+            _, self._variances[start:stop] = gp_map.predict_from_sq_dists(
+                gp, _block_sq_dists(dx2, dy2, start, stop), out=means
             )
-            self._means[start:stop] = means
             self._mean_sq[start:stop] = np.sum(means * means, axis=1)
         self._log_norm = -0.5 * gp.output_dim * (LOG_2PI + np.log(self._variances))
 
@@ -335,7 +339,7 @@ class EvalResult:
 
 
 def evaluate(
-    pipelines: list[Pipeline],
+    pipelines: Iterable[Pipeline],
     test_set: SurveyDataset,
     grid: Grid,
     sigma: float,
@@ -349,6 +353,11 @@ def evaluate(
     The fields of the rows named in raster_indices are kept in each
     result's `rasters`. A package error while scoring a row is re-raised
     as the same class, its message prefixed with the row index.
+
+    `pipelines` is any iterable and is consumed one pipeline at a time:
+    a pipeline and its FieldBuilder are released before the next one is
+    requested, so an iterable that loads each pipeline on demand keeps one
+    pipeline's working set alive, however many there are.
     """
     if not test_set.normalized:
         raise DataError("test set must be normalized with the training statistics")
@@ -380,6 +389,8 @@ def evaluate(
                     rasters=rasters,
                 )
             )
+            # Freed before the next pipeline is requested.
+            del builder, pipeline
     return results
 
 

@@ -112,6 +112,24 @@ class TestForward:
         assert np.array_equal(a[1], b[1])
         assert not np.array_equal(a[1], c[1])
 
+    def test_generator_built_only_when_a_mask_is_drawn(self, rng, monkeypatch):
+        params = toy_params(rng)
+        batch = rng.normal(size=(4, 6))
+        seeds = []
+        default_rng = np.random.default_rng
+
+        def recording_rng(seed=None):
+            seeds.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        ae.forward(params, batch, mode="inference", seed=3, dropout_rate=0.5)
+        ae.forward(params, batch, mode="training", seed=4, dropout_rate=0.0)
+        ae.gradients(params, batch, replace(TOY_CFG, dropout_rate=0.5), mode="inference", seed=5)
+        assert seeds == []
+        ae.forward(params, batch, mode="training", seed=6, dropout_rate=0.5)
+        assert seeds == [6]
+
 
 class TestLosses:
     def test_reconstruction_zero_at_match(self, rng):

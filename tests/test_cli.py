@@ -186,6 +186,30 @@ class TestEvaluateCommand:
                 loc.save_field_pgm(builder.field_for(test.Z[idx]), expected)
                 assert (outdir / f"field_{label}_{idx:04d}.pgm").read_bytes() == expected.read_bytes()
 
+    def test_corrupt_last_pipeline_is_read_after_the_others_are_scored(
+        self, trained_dir, monkeypatch, capsys
+    ):
+        cfg, outdir = trained_dir
+        bad = outdir / "pipeline_distance_ae.json"
+        bad.write_text('{"format_version": 1, "gp": ')
+        built = []
+        init = loc.FieldBuilder.__init__
+
+        def counting_init(self, pipeline, grid):
+            built.append(pipeline.label)
+            init(self, pipeline, grid)
+
+        monkeypatch.setattr(loc.FieldBuilder, "__init__", counting_init)
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert built == ["input", "pca4"]
+        assert len(err.splitlines()) == 1 and str(bad) in err
+        assert "Traceback" not in err
+        assert not list(outdir.glob("eval_*.csv"))
+        assert not (outdir / "summary.csv").exists()
+        assert not list(outdir.glob("*.tmp"))
+
     def test_summary_mean_matches_per_point_csv(self, trained_dir):
         cfg, outdir = trained_dir
         cli.main(["evaluate", "--config", cfg])

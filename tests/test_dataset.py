@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rss_atlas import dataset as dsm
 from rss_atlas.errors import ConfigError, DataError
+from rss_atlas.gp_map import _sq_dists
 
 
 def write(tmp_path, text, name="survey.csv"):
@@ -158,7 +159,32 @@ class TestLoadCsvFuzz:
             pass
 
 
+def allocating_synthesize(config, seed):
+    """synthesize's (X, Z) with the correlation built in fresh arrays."""
+    rng = np.random.default_rng(seed)
+    w, h = config.area
+    aps = rng.uniform(low=[0.0, 0.0], high=[w, h], size=(config.n_aps, 2))
+    X = dsm.trajectory_points(config.waypoints, config.sample_spacing_m)
+    n = X.shape[0]
+    Z = dsm.path_loss_dbm(config, np.sqrt(_sq_dists(X, aps)))
+    if config.shadowing_std_dbm > 0:
+        d2 = _sq_dists(X, X)
+        corr = np.exp(-d2 / config.shadowing_correlation_length_m**2)
+        corr[np.diag_indices(n)] += 1e-10
+        chol = np.linalg.cholesky(corr)
+        gauss = rng.standard_normal((n, config.n_aps))
+        Z = Z + config.shadowing_std_dbm * (chol @ gauss)
+    return X, np.clip(Z, config.floor_dbm, 0.0)
+
+
 class TestSynthesize:
+    @pytest.mark.parametrize("survey", ["small", "default_0.8m"])
+    def test_equals_the_allocating_formula(self, survey, small_synth_config):
+        cfg = {"small": small_synth_config, "default_0.8m": dsm.SynthEnvConfig(sample_spacing_m=0.8)}[survey]
+        ds = dsm.synthesize(cfg, seed=11)
+        X, Z = allocating_synthesize(cfg, seed=11)
+        assert np.array_equal(ds.X, X) and np.array_equal(ds.Z, Z)
+
     def test_rss_at_reference_distance_is_tx_power(self):
         area = (50.0, 50.0)
         cfg = dsm.SynthEnvConfig(

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -277,11 +279,13 @@ class TestFieldBuilder:
 
     def test_precompute_memory_is_bounded_by_the_block(self):
         # numpy reports its buffers to tracemalloc. Beyond the per-cell tables
-        # and the dx^2 / dy^2 axis tables, the precompute holds one n x block
-        # buffer at a time, plus small per-block temporaries (the floor's mask,
-        # the block's means). Holding a second n x block array, as a kernel
-        # copied to Fortran order or a buffer kept across blocks does, breaks
-        # the bound of 1.5 n x block arrays for the widest block.
+        # (`tables` also counts _log_norm, built after the blocks) and the
+        # dx^2 / dy^2 axis tables, the precompute holds one n x block buffer
+        # at a time, plus the kernel floor's boolean mask (1/8 of it) while
+        # the kernel is formed: 1.097 n x block arrays for the widest block.
+        # A block's means held in an array of their own while the next block
+        # is formed add d / n (1.150) and break the bound of 1.125; a second
+        # n x block array, as a kernel copied to Fortran order, breaks it by far.
         n, d = 300, 16
         hp = gp_map.GpHyperparams(signal_variance=1.0, length_scale=10.0, noise_variance=0.05)
         pipe = random_pipeline(n, d, hp)
@@ -294,7 +298,7 @@ class TestFieldBuilder:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= tables + 8 * 1.5 * n * widest
+        assert peak <= tables + 8 * 1.125 * n * widest
 
 
 def meshgrid_ideal_posterior(grid, x_true, sigma):
@@ -485,6 +489,36 @@ class TestEvaluate:
         builder = loc.FieldBuilder(pipe, grid)
         for i, fld in kept.rasters.items():
             assert np.array_equal(fld.mass, builder.field_for(test_norm.Z[i]).mass)
+
+    def test_holds_one_pipeline_at_a_time(self, eval_setup, monkeypatch):
+        # Each pipeline and its FieldBuilder are freed before the next
+        # pipeline is requested, so an on-demand iterable keeps one alive.
+        pipe, test_norm, grid = eval_setup
+        builders, pipes, alive = [], [], []
+        init = loc.FieldBuilder.__init__
+
+        def recording_init(self, pipeline, grid):
+            init(self, pipeline, grid)
+            builders.append(weakref.ref(self))
+
+        def load(k):
+            p = replace(pipe, label=f"p{k}")
+            pipes.append(weakref.ref(p))
+            return p
+
+        def on_demand():
+            for k in range(3):
+                alive.append([ref() is not None for ref in builders + pipes])
+                yield load(k)
+
+        monkeypatch.setattr(loc.FieldBuilder, "__init__", recording_init)
+        results = loc.evaluate(on_demand(), test_norm, grid, sigma=10.0)
+        assert alive == [[], [False, False], [False, False, False, False]]
+        assert [r.label for r in results] == ["p0", "p1", "p2"]
+        want = loc.evaluate([pipe], test_norm, grid, sigma=10.0)[0]
+        for r in results:
+            assert np.array_equal(r.kl_values, want.kl_values)
+            assert np.array_equal(r.argmax_errors_m, want.argmax_errors_m)
 
     def test_mean_matches_per_point(self, eval_setup):
         pipe, test_norm, grid = eval_setup
