@@ -22,7 +22,6 @@ import numpy as np
 from .dataset import SurveyDataset, NormalizationStats
 from .errors import ConfigError, DataError, TrainingDivergedError, check_numbers
 
-MODEL_FORMAT_VERSION = 2
 BN_EPS = 1e-5
 
 PARAM_KEYS = (
@@ -31,6 +30,8 @@ PARAM_KEYS = (
     "dec_hidden.weights", "dec_hidden.biases", "dec_hidden.bn_gamma", "dec_hidden.bn_beta",
     "dec_out.weights", "dec_out.biases",
 )
+_LAYERS = ("enc_hidden", "enc_out", "dec_hidden", "dec_out")
+_BN_KEYS = ("bn_gamma", "bn_beta", "bn_running_mean", "bn_running_var")
 
 
 @dataclass
@@ -44,10 +45,6 @@ class LayerParams:
     bn_running_mean: np.ndarray | None = None
     bn_running_var: np.ndarray | None = None
 
-    @property
-    def has_batchnorm(self) -> bool:
-        return self.bn_gamma is not None
-
 
 @dataclass
 class AutoencoderParams:
@@ -55,6 +52,8 @@ class AutoencoderParams:
 
     Dimension chain: input_dim -> hidden_dims[0] -> latent_dim ->
     hidden_dims[1] -> input_dim, with latent_dim < input_dim enforced.
+    Construction checks every tensor's shape against the chain: the two
+    hidden layers hold all four batch-norm vectors, the two heads none.
     """
 
     enc_hidden: LayerParams
@@ -67,19 +66,23 @@ class AutoencoderParams:
     train_config: "TrainConfig | None" = None
 
     def __post_init__(self):
+        if np.shape(self.hidden_dims) != (2,):
+            raise ConfigError(f"hidden_dims must be a pair, got {self.hidden_dims!r}")
+        self.hidden_dims = tuple(self.hidden_dims)
         if not self.latent_dim < self.input_dim:
             raise ConfigError(
                 f"latent_dim {self.latent_dim} must be smaller than input_dim {self.input_dim}"
             )
-        chain = [
-            (self.enc_hidden.weights.shape, (self.hidden_dims[0], self.input_dim)),
-            (self.enc_out.weights.shape, (self.latent_dim, self.hidden_dims[0])),
-            (self.dec_hidden.weights.shape, (self.hidden_dims[1], self.latent_dim)),
-            (self.dec_out.weights.shape, (self.input_dim, self.hidden_dims[1])),
-        ]
-        for got, want in chain:
-            if got != want:
-                raise ConfigError(f"inconsistent layer shape {got}, expected {want}")
+        h_enc, h_dec = self.hidden_dims
+        chain = (("enc_hidden", h_enc, self.input_dim), ("enc_out", self.latent_dim, h_enc),
+                 ("dec_hidden", h_dec, self.latent_dim), ("dec_out", self.input_dim, h_dec))
+        for name, width, fan_in in chain:
+            bn = (width,) if name.endswith("hidden") else None
+            want = {"weights": (width, fan_in), "biases": (width,), **dict.fromkeys(_BN_KEYS, bn)}
+            for key, shape in want.items():
+                got = getattr(getattr(getattr(self, name), key), "shape", None)
+                if got != shape:
+                    raise ConfigError(f"{name}.{key} has shape {got}, expected {shape}")
 
     def get_tensor(self, key: str) -> np.ndarray:
         layer_name, attr = key.split(".")
@@ -607,56 +610,31 @@ def decode(params: AutoencoderParams, L: np.ndarray) -> np.ndarray:
     return recon[0] if squeeze else recon
 
 
-def _layer_to_dict(layer: LayerParams) -> dict:
-    doc = {"weights": layer.weights.tolist(), "biases": layer.biases.tolist()}
-    if layer.has_batchnorm:
-        doc["bn_gamma"] = layer.bn_gamma.tolist()
-        doc["bn_beta"] = layer.bn_beta.tolist()
-        doc["bn_running_mean"] = layer.bn_running_mean.tolist()
-        doc["bn_running_var"] = layer.bn_running_var.tolist()
-    return doc
-
-
-def _layer_from_dict(doc: dict) -> LayerParams:
-    opt = lambda k: np.array(doc[k], dtype=float) if k in doc else None
-    return LayerParams(
-        weights=np.array(doc["weights"], dtype=float),
-        biases=np.array(doc["biases"], dtype=float),
-        bn_gamma=opt("bn_gamma"), bn_beta=opt("bn_beta"),
-        bn_running_mean=opt("bn_running_mean"), bn_running_var=opt("bn_running_var"),
-    )
-
-
 def params_to_dict(params: AutoencoderParams) -> dict:
+    """Dims, then each layer's tensors in LayerParams field order (absent batch norm omitted)."""
     doc = {
-        "format_version": MODEL_FORMAT_VERSION,
         "input_dim": params.input_dim,
         "latent_dim": params.latent_dim,
         "hidden_dims": list(params.hidden_dims),
-        "enc_hidden": _layer_to_dict(params.enc_hidden),
-        "enc_out": _layer_to_dict(params.enc_out),
-        "dec_hidden": _layer_to_dict(params.dec_hidden),
-        "dec_out": _layer_to_dict(params.dec_out),
     }
+    for name in _LAYERS:
+        doc[name] = {k: v.tolist() for k, v in vars(getattr(params, name)).items() if v is not None}
     if params.train_config is not None:
         doc["train_config"] = params.train_config.__dict__.copy()
     return doc
 
 
 def params_from_dict(doc: dict) -> AutoencoderParams:
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise DataError(
-            f"unsupported autoencoder format_version {doc.get('format_version')!r}"
-            f" (expected {MODEL_FORMAT_VERSION}; rerun train to rewrite the file)"
-        )
+    """Rebuild params_to_dict output; a layer key LayerParams does not have is a TypeError."""
     cfg = TrainConfig(**doc["train_config"]) if "train_config" in doc else None
+    layers = {
+        name: LayerParams(**{k: np.array(v, dtype=float) for k, v in doc[name].items()})
+        for name in _LAYERS
+    }
     return AutoencoderParams(
-        enc_hidden=_layer_from_dict(doc["enc_hidden"]),
-        enc_out=_layer_from_dict(doc["enc_out"]),
-        dec_hidden=_layer_from_dict(doc["dec_hidden"]),
-        dec_out=_layer_from_dict(doc["dec_out"]),
+        **layers,
         input_dim=int(doc["input_dim"]),
         latent_dim=int(doc["latent_dim"]),
-        hidden_dims=tuple(doc["hidden_dims"]),
+        hidden_dims=doc["hidden_dims"],
         train_config=cfg,
     )

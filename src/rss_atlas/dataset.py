@@ -403,6 +403,8 @@ def apply_normalization(ds: SurveyDataset, stats: NormalizationStats) -> SurveyD
     """Standardize with previously fitted stats (for held-out data)."""
     if ds.normalized:
         raise DataError("dataset is already normalized")
+    if stats.per_ap_mean.size != ds.m:
+        raise DataError(f"stats for {stats.per_ap_mean.size} access points, data has {ds.m}")
     Z = (ds.Z - stats.per_ap_mean) / stats.per_ap_std
     return SurveyDataset(X=ds.X, Z=Z, ap_ids=ds.ap_ids, normalized=True)
 

@@ -32,7 +32,8 @@ from .localization import (
     Pipeline,
 )
 
-PIPELINE_FORMAT_VERSION = 1
+# The one format version of a pipeline file; it decides how every part is read.
+PIPELINE_FORMAT_VERSION = 2
 
 # Seed offsets so each stage draws from its own stream; each autoencoder
 # kind trains from the experiment seed plus its own offset.
@@ -343,7 +344,10 @@ def pipeline_to_dict(pipeline: Pipeline) -> dict:
 
 def pipeline_from_dict(doc: dict) -> Pipeline:
     if doc.get("format_version") != PIPELINE_FORMAT_VERSION:
-        raise DataError(f"unsupported pipeline format_version {doc.get('format_version')!r}")
+        raise DataError(
+            f"unsupported pipeline format_version {doc.get('format_version')!r}"
+            f" (expected {PIPELINE_FORMAT_VERSION}; rerun train to rewrite the file)"
+        )
     comp_doc = doc["compressor"]
     kind = comp_doc.get("kind")
     if kind == "identity":
@@ -502,10 +506,14 @@ def run_evaluate(cfg: ExperimentConfig, manifest: Manifest | None = None) -> lis
         if not os.path.exists(os.path.join(outdir, name)):
             raise DataError(f"missing artifact {os.path.join(outdir, name)}; run train first")
 
+    test_path, stats_path = os.path.join(outdir, "test.csv"), os.path.join(outdir, "norm_stats.json")
     train_raw = ds_mod.load_csv(os.path.join(outdir, "train.csv"))
-    test_raw = ds_mod.load_csv(os.path.join(outdir, "test.csv"))
-    stats = _load_artifact(os.path.join(outdir, "norm_stats.json"), _norm_stats_from_doc)
-    test_norm = ds_mod.apply_normalization(test_raw, stats)
+    test_raw = ds_mod.load_csv(test_path)
+    stats = _load_artifact(stats_path, _norm_stats_from_doc)
+    try:
+        test_norm = ds_mod.apply_normalization(test_raw, stats)
+    except DataError as exc:
+        raise DataError(f"{test_path} does not fit {stats_path}: {exc}") from None
 
     paths = [os.path.join(outdir, f"pipeline_{spec.label}.json") for spec in cfg.compressors]
     for path in paths:

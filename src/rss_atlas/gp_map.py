@@ -30,14 +30,13 @@ output, so no k x d copy is made either.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import ConfigError, DataError, GpFitError, check_numbers
 
-MODEL_FORMAT_VERSION = 2
 _JITTER_SCALE = 1e-8
 _VARIANCE_FLOOR = 1e-12
 _KERNEL_FLOOR = 1e-100
@@ -73,6 +72,9 @@ class GpModel:
     hyperparams: GpHyperparams
     chol_factor: np.ndarray
     W: np.ndarray
+
+    def __post_init__(self):
+        _check_rows(self.X_train, self.W, "W")
 
     @property
     def n(self) -> int:
@@ -132,12 +134,21 @@ def kernel_matrix(A: np.ndarray, B: np.ndarray, hp: GpHyperparams) -> np.ndarray
     return K
 
 
+def _gram(unit: np.ndarray, hp: GpHyperparams, out: np.ndarray | None = None) -> np.ndarray:
+    """s2 * unit + sn2 * I from an n x n unit kernel, written into `out` when given.
+
+    Every Gram matrix, the search's included, is built here from `_unit_kernel`.
+    """
+    G = np.multiply(unit, hp.signal_variance, out=out)
+    G[np.diag_indices(G.shape[0])] += hp.noise_variance
+    return G
+
+
 def gram_matrix(X: np.ndarray, hp: GpHyperparams) -> np.ndarray:
     """Training covariance: kernel matrix plus noise variance on the diagonal."""
     X = np.asarray(X, dtype=float)
-    K = kernel_matrix(X, X, hp)
-    K[np.diag_indices(X.shape[0])] += hp.noise_variance
-    return K
+    unit = _unit_kernel(X, X, hp.length_scale)
+    return _gram(unit, hp, out=unit)
 
 
 def _cholesky_with_jitter(K: np.ndarray, hp: GpHyperparams) -> np.ndarray:
@@ -161,15 +172,20 @@ def _cholesky_with_jitter(K: np.ndarray, hp: GpHyperparams) -> np.ndarray:
         ) from None
 
 
+def _check_rows(X: np.ndarray, Y: np.ndarray, name: str) -> None:
+    """X is n x 2 and Y (called `name`) is n x d; anything else is a DataError."""
+    if X.ndim != 2 or X.shape[1] != 2:
+        raise DataError(f"X must be n x 2, got {X.shape}")
+    if Y.ndim != 2 or Y.shape[0] != X.shape[0]:
+        raise DataError(f"X has {X.shape[0]} rows but {name} has shape {Y.shape}")
+
+
 def _targets(X: np.ndarray, Y) -> np.ndarray:
-    """Y as an n x d float array for the n x 2 locations X; a shape mismatch is a DataError."""
+    """Y as an n x d float array for the n x 2 locations X (see _check_rows)."""
     Y = np.asarray(Y, dtype=float)
     if Y.ndim == 1:
         Y = Y[:, None]
-    if X.ndim != 2 or X.shape[1] != 2:
-        raise DataError(f"X must be n x 2, got {X.shape}")
-    if Y.shape[0] != X.shape[0]:
-        raise DataError(f"X has {X.shape[0]} rows but Y has {Y.shape[0]}")
+    _check_rows(X, Y, "Y")
     return Y
 
 
@@ -247,13 +263,6 @@ def log_marginal_likelihood(X: np.ndarray, Y: np.ndarray, hp: GpHyperparams) -> 
     return _evidence(Y, model.W, model.chol_factor)
 
 
-def _factor(unit: np.ndarray, hp: GpHyperparams) -> np.ndarray:
-    """Cholesky factor of the Gram matrix built from the unit kernel, as gram_matrix builds it."""
-    G = unit * hp.signal_variance
-    G[np.diag_indices(G.shape[0])] += hp.noise_variance
-    return _cholesky_with_jitter(G, hp)
-
-
 def fit_by_evidence(X: np.ndarray, Ys: list, grid: list[GpHyperparams]) -> list[GpModel]:
     """Fit one map per target matrix in Ys, each at its evidence-maximizing candidate.
 
@@ -278,7 +287,7 @@ def fit_by_evidence(X: np.ndarray, Ys: list, grid: list[GpHyperparams]) -> list[
             unit = None  # freed before the next one is built
             unit, unit_scale = _unit_kernel(X, X, hp.length_scale), hp.length_scale
         try:
-            L = _factor(unit, hp)
+            L = _cholesky_with_jitter(_gram(unit, hp), hp)
         except GpFitError:
             continue
         for t, Y in enumerate(Ys):
@@ -303,12 +312,7 @@ def select_hyperparams(
 
 def model_to_dict(model: GpModel) -> dict:
     return {
-        "format_version": MODEL_FORMAT_VERSION,
-        "hyperparams": {
-            "signal_variance": model.hyperparams.signal_variance,
-            "length_scale": model.hyperparams.length_scale,
-            "noise_variance": model.hyperparams.noise_variance,
-        },
+        "hyperparams": asdict(model.hyperparams),
         "X_train": model.X_train.tolist(),
         "W": model.W.tolist(),
     }
@@ -319,18 +323,10 @@ def model_from_dict(doc: dict) -> GpModel:
 
     The Cholesky factor is not stored: it is recomputed from the training
     locations and hyperparameters with the same call fit makes, so the
-    rebuilt factor equals the fitted one.
+    rebuilt factor equals the fitted one. The shapes are checked before
+    the Gram matrix is built from X.
     """
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise DataError(
-            f"unsupported GP model format_version {doc.get('format_version')!r}"
-            f" (expected {MODEL_FORMAT_VERSION}; rerun train to rewrite the file)"
-        )
     hp = GpHyperparams(**doc["hyperparams"])
-    X = np.array(doc["X_train"], dtype=float)
-    return GpModel(
-        X_train=X,
-        hyperparams=hp,
-        chol_factor=_cholesky_with_jitter(gram_matrix(X, hp), hp),
-        W=np.array(doc["W"], dtype=float),
-    )
+    X, W = np.array(doc["X_train"], dtype=float), np.array(doc["W"], dtype=float)
+    _check_rows(X, W, "W")
+    return GpModel(X, hp, _cholesky_with_jitter(gram_matrix(X, hp), hp), W)

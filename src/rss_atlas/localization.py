@@ -184,6 +184,10 @@ class Pipeline:
                 f"GP output dim {self.gp.output_dim} does not match "
                 f"compressor latent dim {self.compressor.latent_dim}"
             )
+        d = self.gp.output_dim
+        for name in ("latent_mean", "latent_std"):
+            if getattr(self, name).shape != (d,):
+                raise ConfigError(f"{name} has shape {getattr(self, name).shape}, expected ({d},)")
 
     def encode(self, Z: np.ndarray) -> np.ndarray:
         """Measurements to standardized latent coordinates."""

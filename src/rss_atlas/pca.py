@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 
-MODEL_FORMAT_VERSION = 1
+_FIELDS = ("mean", "components", "eigenvalues")
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,14 @@ class PcaModel:
     mean: np.ndarray
     components: np.ndarray
     eigenvalues: np.ndarray
+
+    def __post_init__(self):
+        got = (self.mean.shape, self.components.shape, self.eigenvalues.shape)
+        m, c = got[1] if len(got[1]) == 2 else (-1, -1)  # no array has shape (-1, -1)
+        if got != ((m,), (m, c), (c,)):
+            raise DataError(
+                f"PCA mean, components, eigenvalues have shapes {got}, not (m,), (m, c), (c,)"
+            )
 
     @property
     def input_dim(self) -> int:
@@ -73,19 +81,8 @@ def inverse_transform(model: PcaModel, L: np.ndarray) -> np.ndarray:
 
 
 def model_to_dict(model: PcaModel) -> dict:
-    return {
-        "format_version": MODEL_FORMAT_VERSION,
-        "mean": model.mean.tolist(),
-        "components": model.components.tolist(),
-        "eigenvalues": model.eigenvalues.tolist(),
-    }
+    return {name: getattr(model, name).tolist() for name in _FIELDS}
 
 
 def model_from_dict(doc: dict) -> PcaModel:
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise DataError(f"unsupported PCA format_version {doc.get('format_version')!r}")
-    return PcaModel(
-        mean=np.array(doc["mean"], dtype=float),
-        components=np.array(doc["components"], dtype=float),
-        eigenvalues=np.array(doc["eigenvalues"], dtype=float),
-    )
+    return PcaModel(**{name: np.array(doc[name], dtype=float) for name in _FIELDS})

@@ -675,18 +675,19 @@ class TestSerialization:
             assert np.array_equal(a.bn_running_var, b.bn_running_var)
         assert back.train_config == TOY_CFG
 
-    def test_wrong_version_rejected(self):
-        with pytest.raises(DataError, match="format_version"):
-            ae.params_from_dict({"format_version": 42})
-
-    def test_v1_document_rejected(self, rng):
-        # Version 1 stored a distance_mode in train_config.
-        params = toy_params(rng)
-        params.train_config = TOY_CFG
-        doc = ae.params_to_dict(params)
-        doc["format_version"] = 1
-        doc["train_config"]["distance_mode"] = "squared"
-        with pytest.raises(DataError, match="format_version 1 .*rerun train"):
+    @pytest.mark.parametrize("edit,fragment", [
+        (lambda d: d["enc_hidden"]["biases"].pop(), "enc_hidden.biases"),
+        (lambda d: d["dec_hidden"]["bn_running_var"].pop(), "dec_hidden.bn_running_var"),
+        (lambda d: d["enc_hidden"].pop("bn_gamma"), "enc_hidden.bn_gamma"),
+        (lambda d: d["dec_out"].update(bn_beta=[0.0] * 6), "dec_out.bn_beta"),
+        (lambda d: d["enc_out"]["weights"].pop(), "enc_out.weights"),
+        (lambda d: d.update(hidden_dims=[8]), "hidden_dims must be a pair"),
+    ], ids=["biases_short", "running_var_short", "hidden_without_gamma", "head_with_batchnorm",
+            "weights_row_short", "one_hidden_dim"])
+    def test_shapes_checked(self, edit, fragment, rng):
+        doc = json.loads(json.dumps(ae.params_to_dict(toy_params(rng))))
+        edit(doc)
+        with pytest.raises(ConfigError, match=fragment):
             ae.params_from_dict(doc)
 
     def test_behavioral_roundtrip(self, rng):

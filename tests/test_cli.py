@@ -266,10 +266,17 @@ def identity_config(out_dir):
     return doc
 
 
+def trained_config(out_dir):
+    """tiny_config with a 3-epoch distance_ae: pipelines input, pca4 and distance_ae."""
+    doc = tiny_config(out_dir)
+    doc["compressors"][2]["train"]["epochs"] = 3
+    return doc
+
+
 @pytest.fixture(scope="module")
-def trained_identity(tmp_path_factory):
+def trained_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("trained")
-    cfg = write_config(root, identity_config(root / "out"))
+    cfg = write_config(root, trained_config(root / "out"))
     assert cli.main(["train", "--config", cfg]) == 0
     return root / "out"
 
@@ -289,12 +296,36 @@ def _corrupt_pipeline_json(doc, out):
     return "evaluate"
 
 
-def _v1_pipeline(doc, out):
-    path = out / "pipeline_input.json"
-    pipe = json.loads(path.read_text())
-    pipe["gp"]["format_version"] = 1
-    path.write_text(json.dumps(pipe))
+def _edit_pipeline(label, edit):
+    """Evaluate every trained pipeline after `edit` has changed the document of `label`."""
+    def setup(doc, out):
+        path = out / f"pipeline_{label}.json"
+        pipe = json.loads(path.read_text())
+        edit(pipe)
+        path.write_text(json.dumps(pipe))
+        doc["compressors"] = trained_config(out)["compressors"]
+        return "evaluate"
+    return setup
+
+
+def _edit_norm_stats(doc, out):
+    path = out / "norm_stats.json"
+    stats = json.loads(path.read_text())
+    stats["per_ap_mean"].pop()
+    stats["per_ap_std"].pop()
+    path.write_text(json.dumps(stats))
     return "evaluate"
+
+
+def _drop_last_test_column(doc, out):
+    path = out / "test.csv"
+    lines = [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+    return "evaluate"
+
+
+def _ae_model(edit):
+    return lambda pipe: edit(pipe["compressor"]["model"])
 
 
 def _unknown_evaluation_key(doc, out):
@@ -377,7 +408,7 @@ def _argv(*args):
 
 
 def _autoencoder_pipeline(format_version, **train_config):
-    """Store an autoencoder of `format_version` with `train_config` entries replaced."""
+    """Store an autoencoder with `train_config` entries replaced in a pipeline file of `format_version`."""
     def setup(doc, out):
         path = out / "pipeline_input.json"
         pipe = json.loads(path.read_text())
@@ -385,7 +416,7 @@ def _autoencoder_pipeline(format_version, **train_config):
         params = ae.init_params(12, cfg)
         params.train_config = cfg
         model = ae.params_to_dict(params)
-        model["format_version"] = format_version
+        pipe["format_version"] = format_version
         model["train_config"].update(train_config)
         pipe["compressor"] = {"kind": "autoencoder", "model": model}
         path.write_text(json.dumps(pipe))
@@ -473,12 +504,63 @@ FAILURES = {
     "unknown_subcommand": (_argv("frobnicate", "--config", "{cfg}"), 1, "invalid choice: 'frobnicate'"),
     "missing_csv": (_missing_csv, 2, "no_such_survey.csv"),
     "corrupt_pipeline_json": (_corrupt_pipeline_json, 2, "pipeline_input.json"),
-    "v1_pipeline": (_v1_pipeline, 2, "format_version"),
-    "v1_autoencoder_pipeline": (
-        _autoencoder_pipeline(1, distance_mode="squared"), 2, "autoencoder format_version 1"
+    "v1_pipeline": (
+        _edit_pipeline("input", lambda p: p.update(format_version=1)), 2,
+        "pipeline_input.json: unsupported pipeline format_version 1 (expected 2; rerun train",
     ),
+    "v1_autoencoder_pipeline": (
+        _autoencoder_pipeline(1, distance_mode="squared"), 2,
+        "pipeline_input.json: unsupported pipeline format_version 1 (expected 2; rerun train",
+    ),
+    "gp_w_row_short": (
+        _edit_pipeline("input", lambda p: p["gp"]["W"].pop()), 2, "pipeline_input.json: X has"
+    ),
+    "gp_x_one_coordinate": (
+        _edit_pipeline("input", lambda p: p["gp"].update(X_train=[x[:1] for x in p["gp"]["X_train"]])),
+        2, "pipeline_input.json: X must be n x 2",
+    ),
+    "gp_x_empty": (
+        _edit_pipeline("input", lambda p: p["gp"].update(X_train=[])), 2, "pipeline_input.json: X must be n x 2"
+    ),
+    "gp_x_third_coordinate": (
+        _edit_pipeline("input", lambda p: [x.append(0.0) for x in p["gp"]["X_train"]]),
+        2, "pipeline_input.json: X must be n x 2",
+    ),
+    "latent_mean_short": (
+        _edit_pipeline("input", lambda p: p["latent_mean"].pop()), 2, "pipeline_input.json: latent_mean has"
+    ),
+    "latent_std_short": (
+        _edit_pipeline("pca4", lambda p: p["latent_std"].pop()), 2, "pipeline_pca4.json: latent_std has"
+    ),
+    "pca_mean_short": (
+        _edit_pipeline("pca4", lambda p: p["compressor"]["model"]["mean"].pop()), 2,
+        "pipeline_pca4.json: PCA mean, components, eigenvalues have shapes",
+    ),
+    "pca_eigenvalues_short": (
+        _edit_pipeline("pca4", lambda p: p["compressor"]["model"]["eigenvalues"].pop()), 2,
+        "pipeline_pca4.json: PCA mean, components, eigenvalues have shapes",
+    ),
+    "ae_biases_short": (
+        _edit_pipeline("distance_ae", _ae_model(lambda m: m["enc_hidden"]["biases"].pop())), 2,
+        "pipeline_distance_ae.json: enc_hidden.biases has shape",
+    ),
+    "ae_bn_running_var_short": (
+        _edit_pipeline("distance_ae", _ae_model(lambda m: m["dec_hidden"]["bn_running_var"].pop())), 2,
+        "pipeline_distance_ae.json: dec_hidden.bn_running_var has shape",
+    ),
+    "ae_hidden_layer_without_batchnorm": (
+        _edit_pipeline("distance_ae", _ae_model(lambda m: m.update(enc_hidden={
+            key: m["enc_hidden"][key] for key in ("weights", "biases")
+        }))), 2, "pipeline_distance_ae.json: enc_hidden.bn_gamma has shape None",
+    ),
+    "ae_one_hidden_dim": (
+        _edit_pipeline("distance_ae", _ae_model(lambda m: m.update(hidden_dims=[8]))), 2,
+        "pipeline_distance_ae.json: hidden_dims must be a pair",
+    ),
+    "norm_stats_short": (_edit_norm_stats, 2, "norm_stats.json: stats for 11 access points, data has 12"),
+    "test_csv_missing_ap": (_drop_last_test_column, 2, "test.csv does not fit"),
     "huge_int_in_train_config": (
-        _autoencoder_pipeline(2, lambda_d=10**400), 2, "corrupt or unreadable artifact"
+        _autoencoder_pipeline(ex.PIPELINE_FORMAT_VERSION, lambda_d=10**400), 2, "corrupt or unreadable artifact"
     ),
     "underflowing_test_row": (_underflowing_test_row, 2, "not physical"),
     "overflowing_latent_std": (_overflowing_latent_std, 3, "test point 0"),
@@ -486,11 +568,11 @@ FAILURES = {
 
 
 @pytest.mark.parametrize("case", list(FAILURES))
-def test_failure_contract(case, tmp_path, trained_identity, capsys):
+def test_failure_contract(case, tmp_path, trained_run, capsys):
     """Each failure class maps to its exit code with one stderr line and no partial file."""
     setup, code, fragment = FAILURES[case]
     out = tmp_path / "out"
-    shutil.copytree(trained_identity, out)
+    shutil.copytree(trained_run, out)
     doc = identity_config(out)
     command = setup(doc, out)
     cfg = write_config(tmp_path, doc)
@@ -505,6 +587,7 @@ def test_failure_contract(case, tmp_path, trained_identity, capsys):
     assert "Traceback" not in err
     assert fragment in err
     assert not list(out.glob("*.tmp"))
+    assert not list(out.glob("eval_*.csv")) and not (out / "summary.csv").exists()
 
 
 def _module_env():
@@ -515,10 +598,10 @@ def _module_env():
     return env
 
 
-def test_overflow_exit_prints_one_stderr_line(tmp_path, trained_identity):
+def test_overflow_exit_prints_one_stderr_line(tmp_path, trained_run):
     """Outside pytest's capture numpy would print its overflow warning before the error."""
     out = tmp_path / "out"
-    shutil.copytree(trained_identity, out)
+    shutil.copytree(trained_run, out)
     _overflowing_latent_std(None, out)
     cfg = write_config(tmp_path, identity_config(out))
     proc = subprocess.run(

@@ -319,6 +319,13 @@ class TestNormalize:
         with pytest.raises(DataError):
             dsm.normalize(norm)
 
+    def test_stats_must_fit_the_columns(self, small_survey):
+        _, stats = dsm.normalize(small_survey)
+        short = dsm.NormalizationStats(stats.per_ap_mean[:-1], stats.per_ap_std[:-1])
+        m = small_survey.m
+        with pytest.raises(DataError, match=f"stats for {m - 1} access points, data has {m}"):
+            dsm.apply_normalization(small_survey, short)
+
     def test_columns_standardized(self, small_survey):
         norm, _ = dsm.normalize(small_survey)
         assert np.abs(norm.Z.mean(axis=0)).max() < 1e-9

@@ -1,5 +1,8 @@
+import copy
+import functools
 import json
 import math
+import operator
 import os
 from pathlib import Path
 
@@ -18,6 +21,33 @@ from rss_atlas.errors import ConfigError, DataError, RssAtlasError
 @pytest.fixture(scope="module")
 def train_norm(small_survey_normalized):
     return small_survey_normalized[0]
+
+
+KINDS = ["identity", "pca", "autoencoder"]
+
+
+@pytest.fixture(scope="module")
+def small_norm(train_norm):
+    """The first 60 rows of the normalized survey."""
+    return dsm.SurveyDataset(
+        X=train_norm.X[:60], Z=train_norm.Z[:60], ap_ids=train_norm.ap_ids, normalized=True
+    )
+
+
+@pytest.fixture(scope="module")
+def pipeline_docs(small_norm):
+    """A trained pipeline document of each compressor kind, as train writes it."""
+    cfg = ae.TrainConfig(latent_dim=4, hidden_dim=8, epochs=3, batch_size=16, seed=2)
+    comps = {
+        "identity": loc.IdentityCompressor(small_norm.m),
+        "pca": loc.PcaCompressor(pca.fit(small_norm.Z, 4)),
+        "autoencoder": loc.AutoencoderCompressor(ae.train(small_norm, cfg)[0]),
+    }
+    grid = [gp_map.GpHyperparams(1.0, 10.0, 0.05)]
+    return {
+        kind: json.loads(json.dumps(ex.pipeline_to_dict(ex.build_pipeline(kind, comp, small_norm, grid))))
+        for kind, comp in comps.items()
+    }
 
 
 class TestConfigParsing:
@@ -183,6 +213,24 @@ class TestPipelineSerialization:
         with pytest.raises(DataError, match="format_version"):
             ex.pipeline_from_dict({"format_version": 0})
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_format_version(self, kind, pipeline_docs):
+        """The pipeline document carries the file's only format version."""
+        doc = pipeline_docs[kind]
+        assert doc["format_version"] == ex.PIPELINE_FORMAT_VERSION == 2
+        assert json.dumps(doc).count("format_version") == 1
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_earlier_format_rejected(self, kind, pipeline_docs):
+        """A format 1 file, which also versioned its GP and compressor, says to rerun train."""
+        doc = copy.deepcopy(pipeline_docs[kind])
+        doc["format_version"] = 1
+        doc["gp"]["format_version"] = 1
+        if kind != "identity":
+            doc["compressor"]["model"]["format_version"] = 1
+        with pytest.raises(DataError, match=r"format_version 1 \(expected 2; rerun train"):
+            ex.pipeline_from_dict(doc)
+
 
 class TestAtomicWrite:
     def test_missing_directory_leaves_nothing(self, tmp_path):
@@ -326,6 +374,45 @@ class TestConfigFuzz:
             ex.config_from_dict(doc)
         except RssAtlasError:
             pass
+
+
+def _array_paths(doc, path=()) -> list[tuple]:
+    """Key paths of every list (an array of the model) in a pipeline document."""
+    if isinstance(doc, list):
+        return [path]
+    if isinstance(doc, dict):
+        return [p for key, value in doc.items() for p in _array_paths(value, path + (key,))]
+    return []
+
+
+_ARRAY_MUTATIONS = {
+    "unchanged": lambda a: a,
+    "drop_last": lambda a: a[:-1],  # an entry, or a matrix's row
+    "add_column": lambda a: [row + [0.0] if isinstance(row, list) else [row, 0.0] for row in a],
+    "empty": lambda a: [],
+    "scalar": lambda a: 1.0,
+}
+
+
+class TestPipelineFuzz:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rejected_or_scores(self, pipeline_docs, small_norm, data):
+        """One mutated array: pipeline_from_dict raises a package error, or the pipeline scores a row."""
+        doc = copy.deepcopy(pipeline_docs[data.draw(st.sampled_from(KINDS))])
+        *keys, last = data.draw(st.sampled_from(_array_paths(doc)))
+        parent = functools.reduce(operator.getitem, keys, doc)
+        parent[last] = _ARRAY_MUTATIONS[data.draw(st.sampled_from(list(_ARRAY_MUTATIONS)))](parent[last])
+        try:
+            pipe = ex.pipeline_from_dict(doc)
+        except RssAtlasError:
+            return
+        row = dsm.SurveyDataset(
+            X=small_norm.X[:1], Z=small_norm.Z[:1], ap_ids=small_norm.ap_ids, normalized=True
+        )
+        grid = loc.Grid.cover(small_norm.X, 10.0, 0)
+        [result] = loc.evaluate([pipe], row, grid, 10.0)
+        assert np.isfinite(result.mean_kl)
 
 
 class TestBuildPipeline:

@@ -552,15 +552,13 @@ class TestSerialization:
         assert np.array_equal(back.chol_factor, model.chol_factor)
         assert back.hyperparams == model.hyperparams
 
-    def test_version_check(self):
-        with pytest.raises(Exception, match="format_version"):
-            gp_map.model_from_dict({"format_version": 99})
-
-    def test_v1_document_rejected(self, rng):
-        X = rng.uniform(0, 10, size=(4, 2))
-        model = gp_map.fit(X, rng.normal(size=(4, 1)), HP)
-        doc = gp_map.model_to_dict(model)
-        doc["format_version"] = 1
-        doc["chol_factor"] = model.chol_factor.tolist()
-        with pytest.raises(DataError, match="format_version"):
+    @pytest.mark.parametrize("key,value", [
+        ("X_train", [[1.0]] * 6), ("X_train", []), ("X_train", [[1.0, 2.0, 3.0]] * 6),
+        ("W", [[0.0, 0.0]] * 5), ("W", [0.0] * 6), ("W", 0.0),
+    ], ids=["x_one_coordinate", "x_empty", "x_third_coordinate", "w_row_short", "w_flat", "w_scalar"])
+    def test_shapes_checked_before_factor(self, key, value, rng):
+        X = rng.uniform(0, 10, size=(6, 2))
+        doc = gp_map.model_to_dict(gp_map.fit(X, rng.normal(size=(6, 2)), HP))
+        doc[key] = value
+        with pytest.raises(DataError, match="X must be n x 2|rows but W"):
             gp_map.model_from_dict(doc)

@@ -58,6 +58,15 @@ class TestGrid:
             loc.Grid(0.0, 0.0, cell_size=0.0, width=2, height=2)
 
 
+class TestPipeline:
+    @pytest.mark.parametrize("name", ["latent_mean", "latent_std"])
+    def test_latent_stats_must_have_output_dim_entries(self, name):
+        pipe = far_prior_pipeline(d=3)
+        kwargs = dict(vars(pipe), **{name: np.zeros(2)})
+        with pytest.raises(ConfigError, match=f"{name} has shape \\(2,\\), expected \\(3,\\)"):
+            loc.Pipeline(**kwargs)
+
+
 class TestPointLikelihood:
     def test_single_dim_standard_normal_mode(self):
         pipe = far_prior_pipeline(d=1, sigma_s2=1.0)

@@ -138,6 +138,14 @@ class TestSerialization:
         assert np.array_equal(back.components, model.components)
         assert np.array_equal(back.eigenvalues, model.eigenvalues)
 
-    def test_version_check(self):
-        with pytest.raises(DataError, match="format_version"):
-            pca.model_from_dict({"format_version": 7})
+    @pytest.mark.parametrize("key,edit", [
+        ("mean", lambda a: a[:-1]), ("components", lambda a: a[:-1]),
+        ("components", lambda a: [row + [0.0] for row in a]), ("eigenvalues", lambda a: a[:-1]),
+        ("eigenvalues", lambda a: 1.0), ("components", lambda a: []),
+    ], ids=["mean_short", "components_row_short", "components_extra_column", "eigenvalues_short",
+            "eigenvalues_scalar", "components_empty"])
+    def test_shapes_checked(self, key, edit, rng):
+        doc = pca.model_to_dict(pca.fit(rng.normal(size=(20, 5)), 3))
+        doc[key] = edit(doc[key])
+        with pytest.raises(DataError, match="shapes"):
+            pca.model_from_dict(doc)
