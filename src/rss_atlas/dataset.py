@@ -337,13 +337,14 @@ def load_csv(path, floor_dbm: float = DEFAULT_FLOOR_DBM) -> SurveyDataset:
     )
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write via a per-process temp file in the same directory, then rename.
+def atomic_write(path, write) -> None:
+    """Write a file by calling `write(fh)` on a per-process temp file in the
+    same directory, then rename it over `path`.
 
     A failed write removes the temp file, so the target is left either as
-    it was or with the complete new text. The temp file is fsync'd before
+    it was or with the complete new content. The temp file is fsync'd before
     the rename and the directory after it, so after a power loss the
-    target holds the old or the new text, never an empty file.
+    target holds the old or the new content, never an empty file.
     """
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
@@ -351,7 +352,7 @@ def atomic_write_text(path, text: str) -> None:
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            write(fh)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -364,6 +365,11 @@ def atomic_write_text(path, text: str) -> None:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    """`atomic_write` of one string."""
+    atomic_write(path, lambda fh: fh.write(text))
 
 
 def save_csv(ds: SurveyDataset, path) -> None:

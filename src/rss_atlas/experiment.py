@@ -9,6 +9,7 @@ except for wall-clock entries in the manifest.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -23,7 +24,7 @@ from . import gp_map
 from . import localization as loc
 from . import pca as pca_mod
 from .dataset import atomic_write_text
-from .errors import ConfigError, DataError, check_number, check_numbers
+from .errors import ConfigError, DataError, NumericalError, check_number, check_numbers
 from .localization import (
     AutoencoderCompressor,
     Grid,
@@ -367,8 +368,17 @@ def pipeline_from_dict(doc: dict) -> Pipeline:
     )
 
 
-def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=1)
+def _write_json(path: str, doc: dict) -> None:
+    """Stream `doc` as indent-1 JSON into an atomic write, chunk by chunk.
+
+    The bytes equal `json.dumps(doc, indent=1)`, but the text is never held
+    whole. A NaN or infinity in `doc` is a NumericalError, raised before
+    the target is touched.
+    """
+    try:
+        ds_mod.atomic_write(path, lambda fh: json.dump(doc, fh, indent=1, allow_nan=False))
+    except ValueError as exc:
+        raise NumericalError(f"{path}: {exc}") from None
 
 
 class Manifest:
@@ -392,7 +402,7 @@ class Manifest:
         self.doc["artifacts"].append(os.path.basename(path))
 
     def write(self, output_dir: str) -> None:
-        atomic_write_text(os.path.join(output_dir, "manifest.json"), _json_text(self.doc))
+        _write_json(os.path.join(output_dir, "manifest.json"), self.doc)
 
 
 def _norm_stats_doc(stats: ds_mod.NormalizationStats) -> dict:
@@ -411,15 +421,38 @@ def _norm_stats_from_doc(doc: dict) -> ds_mod.NormalizationStats:
     )
 
 
+def _reject_constant(name: str):
+    raise DataError(f"non-finite number {name}")
+
+
 def _load_artifact(path: str, parse):
-    """Parse a JSON artifact written by train; a bad file is a DataError naming it."""
+    """Parse a JSON artifact written by train; a bad file is a DataError naming it.
+
+    train never writes NaN or Infinity (see _write_json), so either one here
+    is a corrupt file.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse(json.load(fh))
+            return parse(json.load(fh, parse_constant=_reject_constant))
     except (DataError, ConfigError) as exc:
         raise DataError(f"{path}: {exc}") from None
     except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise DataError(f"{path}: corrupt or unreadable artifact: {exc!r}") from None
+
+
+def _check_ap_order(test_ids, train_ids, test_path: str, train_path: str) -> None:
+    """The test file's AP columns are the train file's, in the same order.
+
+    The normalization stats and every model are indexed by column, so a
+    reordered column would be scored against another AP's statistics. A
+    column that one file lacks reads as None.
+    """
+    for k, (test_id, train_id) in enumerate(itertools.zip_longest(test_ids, train_ids)):
+        if test_id != train_id:
+            raise DataError(
+                f"{test_path} does not fit {train_path}: AP column {k} is {test_id!r}"
+                f" in the test file and {train_id!r} in the train file"
+            )
 
 
 def run_synth(cfg: ExperimentConfig, out_path: str) -> None:
@@ -448,9 +481,7 @@ def run_train(cfg: ExperimentConfig, manifest: Manifest | None = None) -> list[s
     manifest.artifact("test.csv")
 
     train_norm, stats = ds_mod.normalize(train_raw)
-    atomic_write_text(
-        os.path.join(outdir, "norm_stats.json"), _json_text(_norm_stats_doc(stats))
-    )
+    _write_json(os.path.join(outdir, "norm_stats.json"), _norm_stats_doc(stats))
     manifest.artifact("norm_stats.json")
     manifest.stage("dataset")
 
@@ -466,7 +497,7 @@ def run_train(cfg: ExperimentConfig, manifest: Manifest | None = None) -> list[s
     for (spec, compressor, report), pipeline in zip(built, pipelines):
         label = spec.label
         path = os.path.join(outdir, f"pipeline_{label}.json")
-        atomic_write_text(path, _json_text(pipeline_to_dict(pipeline)))
+        _write_json(path, pipeline_to_dict(pipeline))
         manifest.artifact(path)
 
         if report is not None:
@@ -506,14 +537,16 @@ def run_evaluate(cfg: ExperimentConfig, manifest: Manifest | None = None) -> lis
         if not os.path.exists(os.path.join(outdir, name)):
             raise DataError(f"missing artifact {os.path.join(outdir, name)}; run train first")
 
-    test_path, stats_path = os.path.join(outdir, "test.csv"), os.path.join(outdir, "norm_stats.json")
-    train_raw = ds_mod.load_csv(os.path.join(outdir, "train.csv"))
+    train_path, test_path = os.path.join(outdir, "train.csv"), os.path.join(outdir, "test.csv")
+    stats_path = os.path.join(outdir, "norm_stats.json")
+    train_raw = ds_mod.load_csv(train_path)
     test_raw = ds_mod.load_csv(test_path)
     stats = _load_artifact(stats_path, _norm_stats_from_doc)
     try:
         test_norm = ds_mod.apply_normalization(test_raw, stats)
     except DataError as exc:
         raise DataError(f"{test_path} does not fit {stats_path}: {exc}") from None
+    _check_ap_order(test_raw.ap_ids, train_raw.ap_ids, test_path, train_path)
 
     paths = [os.path.join(outdir, f"pipeline_{spec.label}.json") for spec in cfg.compressors]
     for path in paths:

@@ -324,6 +324,24 @@ def _drop_last_test_column(doc, out):
     return "evaluate"
 
 
+def _swap_first_test_columns(doc, out):
+    """Swap the ap000 and ap001 columns of test.csv, header and data."""
+    path = out / "test.csv"
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    for cells in rows:
+        cells[2], cells[3] = cells[3], cells[2]
+    path.write_text("\n".join(",".join(cells) for cells in rows) + "\n")
+    return "evaluate"
+
+
+def _infinite_norm_std(doc, out):
+    path = out / "norm_stats.json"
+    stats = json.loads(path.read_text())
+    stats["per_ap_std"][0] = float("inf")
+    path.write_text(json.dumps(stats))
+    return "evaluate"
+
+
 def _ae_model(edit):
     return lambda pipe: edit(pipe["compressor"]["model"])
 
@@ -559,6 +577,19 @@ FAILURES = {
     ),
     "norm_stats_short": (_edit_norm_stats, 2, "norm_stats.json: stats for 11 access points, data has 12"),
     "test_csv_missing_ap": (_drop_last_test_column, 2, "test.csv does not fit"),
+    "test_csv_aps_reordered": (
+        _swap_first_test_columns, 2,
+        "train.csv: AP column 0 is 'ap001' in the test file and 'ap000' in the train file",
+    ),
+    "nan_in_gp_x_train": (
+        _edit_pipeline("input", lambda p: p["gp"]["X_train"][0].__setitem__(0, float("nan"))), 2,
+        "pipeline_input.json: non-finite number NaN",
+    ),
+    "nan_in_latent_mean": (
+        _edit_pipeline("input", lambda p: p["latent_mean"].__setitem__(0, float("nan"))), 2,
+        "pipeline_input.json: non-finite number NaN",
+    ),
+    "infinity_in_norm_stats": (_infinite_norm_std, 2, "norm_stats.json: non-finite number Infinity"),
     "huge_int_in_train_config": (
         _autoencoder_pipeline(ex.PIPELINE_FORMAT_VERSION, lambda_d=10**400), 2, "corrupt or unreadable artifact"
     ),

@@ -4,6 +4,7 @@ import json
 import math
 import operator
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from rss_atlas import autoencoder as ae
 from rss_atlas import dataset as dsm
 from rss_atlas import experiment as ex
 from rss_atlas import gp_map, localization as loc, pca
-from rss_atlas.errors import ConfigError, DataError, RssAtlasError
+from rss_atlas.errors import ConfigError, DataError, NumericalError, RssAtlasError
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +271,50 @@ class TestAtomicWrite:
         assert seen == ["old", "new"]
 
 
+class TestWriteJson:
+    def test_bytes_equal_json_dumps(self, tmp_path, pipeline_docs):
+        target = tmp_path / "p.json"
+        for doc in pipeline_docs.values():
+            ex._write_json(str(target), doc)
+            assert target.read_text() == json.dumps(doc, indent=1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_keeps_old_file_and_no_temp(self, tmp_path, bad):
+        # The bad number sits deep in the document, after more text than one
+        # buffer holds, so the temp file has been written to when it is met.
+        target = tmp_path / "f.json"
+        target.write_bytes(b"old bytes")
+        doc = {"a": [float(i) for i in range(20_000)], "b": {"c": [[0.5, bad]]}}
+        with pytest.raises(NumericalError, match="f.json: Out of range float"):
+            ex._write_json(str(target), doc)
+        assert target.read_bytes() == b"old bytes"
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_text_is_never_held_whole(self, tmp_path):
+        """Writing the input pipeline of the default survey holds a small fraction of its text."""
+        norm, _ = dsm.normalize(dsm.synthesize(dsm.SynthEnvConfig(), seed=0))
+        pipe = ex.build_pipeline(
+            "input", loc.IdentityCompressor(norm.m), norm, [gp_map.GpHyperparams(1.0, 10.0, 0.05)]
+        )
+        doc = ex.pipeline_to_dict(pipe)
+        text_bytes = len(json.dumps(doc, indent=1))
+
+        def traced_peak(call):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                call()
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        # json.dumps holds every chunk and then the joined text: 4.5x the 1.33 MB
+        # text here. The streamed write held 66 kB (0.05x), the text layer's
+        # pending chunks, whatever the document's size.
+        assert traced_peak(lambda: json.dumps(doc, indent=1)) > 2 * text_bytes
+        assert traced_peak(lambda: ex._write_json(str(tmp_path / "p.json"), doc)) < text_bytes / 8
+
+
 class TestManifest:
     def test_contents(self, tmp_path):
         cfg = ex.config_from_dict(
@@ -295,13 +340,14 @@ class TestManifest:
             "ae_train": {"latent_dim": 4, "hidden_dim": 8, "epochs": 2, "batch_size": 16},
         }
         writes = []
-        write = ex.atomic_write_text
+        write = dsm.atomic_write
 
-        def recording_write(path, text):
+        def recording_write(path, write_to):
             writes.append(os.path.basename(path))
-            write(path, text)
+            write(path, write_to)
 
-        monkeypatch.setattr(ex, "atomic_write_text", recording_write)
+        # Every artifact, text or JSON, is written through dataset.atomic_write.
+        monkeypatch.setattr(dsm, "atomic_write", recording_write)
         ex.run_compare(ex.config_from_dict(doc))
         assert writes.count("manifest.json") == 1
         manifest = json.loads((tmp_path / "manifest.json").read_text())
