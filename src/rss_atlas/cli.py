@@ -60,8 +60,7 @@ def main(argv: list[str] | None = None) -> int:
             for r in results:
                 print(f"{r.label}: mean KL {r.mean_kl:.4f}, mean argmax error {r.mean_argmax_error_m:.2f} m")
         elif args.command == "compare":
-            results = experiment.run_compare(cfg)
-            for rank, r in enumerate(sorted(results, key=lambda r: r.mean_kl), 1):
+            for rank, r in enumerate(experiment.run_compare(cfg), 1):
                 print(f"{rank}. {r.label}: mean KL {r.mean_kl:.4f}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
 import re
 import time
@@ -425,15 +426,22 @@ def _reject_constant(name: str):
     raise DataError(f"non-finite number {name}")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise DataError(f"number {text} overflows a double")
+    return value
+
+
 def _load_artifact(path: str, parse):
     """Parse a JSON artifact written by train; a bad file is a DataError naming it.
 
     train never writes NaN or Infinity (see _write_json), so either one here
-    is a corrupt file.
+    is a corrupt file, and so is a number such as 1e400 that parses to one.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse(json.load(fh, parse_constant=_reject_constant))
+            return parse(json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float))
     except (DataError, ConfigError) as exc:
         raise DataError(f"{path}: {exc}") from None
     except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
@@ -587,7 +595,8 @@ def run_evaluate(cfg: ExperimentConfig, manifest: Manifest | None = None) -> lis
 
 
 def run_compare(cfg: ExperimentConfig) -> list[loc.EvalResult]:
-    """Train and evaluate the standard five pipelines, rank them, write one manifest."""
+    """Train and evaluate the standard five pipelines, write one manifest, and
+    return the results ranked by mean KL, lowest first."""
     cfg = replace(cfg, compressors=default_compare_compressors(cfg))
     manifest = Manifest(cfg)
     run_train(cfg, manifest)
@@ -600,4 +609,4 @@ def run_compare(cfg: ExperimentConfig) -> list[loc.EvalResult]:
     manifest.artifact("ranking.csv")
     manifest.stage("rank")
     manifest.write(cfg.output_dir)
-    return results
+    return ranked

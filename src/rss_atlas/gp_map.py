@@ -2,8 +2,10 @@
 
 One isotropic RBF kernel and one noise level are shared by all output
 dimensions, so a fitted map predicts a d-vector mean and a single scalar
-variance per query point. Solves go through a cached Cholesky factor;
-the inverse is never formed.
+variance per query point. A map is its stored data: training locations,
+hyperparameters and weights. The Cholesky factor that the variance needs
+is made from them by `cholesky_factor` where a prediction needs it
+(GPML Algorithm 2.1); the inverse is never formed.
 
 Unit-kernel entries exp(-d/l^2) below _KERNEL_FLOOR = 1e-100, i.e. at
 distances beyond 15.2 l, are stored as exact zeros. Each is about 84
@@ -63,14 +65,15 @@ class GpHyperparams:
 
 @dataclass(frozen=True)
 class GpModel:
-    """Fitted map: training inputs, Cholesky factor of (K + sn2*I), weights.
+    """Fitted map: training inputs, hyperparameters, weights.
 
     W solves (K + sn2*I) W = Y, so the predictive mean at x* is k*^T W.
+    The variance needs the factor of K + sn2*I, which `cholesky_factor`
+    makes from the other two fields.
     """
 
     X_train: np.ndarray
     hyperparams: GpHyperparams
-    chol_factor: np.ndarray
     W: np.ndarray
 
     def __post_init__(self):
@@ -156,9 +159,9 @@ def _cholesky_with_jitter(K: np.ndarray, hp: GpHyperparams) -> np.ndarray:
 
     The retry adds the jitter to K's diagonal in place (K is overwritten),
     which rounds exactly as K + jitter * I does without two more n x n arrays.
-    Every factor is made here, so a rebuilt factor equals the search's:
-    scipy's LAPACK dpotrf differs from np.linalg.cholesky by up to 3e-15
-    at n = 810.
+    Every factor is made here, with np.linalg.cholesky: scipy's LAPACK
+    dpotrf differs from it by up to 3e-15 at n = 810, which would move the
+    last bits of the evidence, the weights and the grid variances.
     """
     try:
         return np.linalg.cholesky(K)
@@ -214,7 +217,13 @@ def fit(X: np.ndarray, Y: np.ndarray, hp: GpHyperparams) -> GpModel:
     X = np.asarray(X, dtype=float)
     Y = _targets(X, Y)
     L = _cholesky_with_jitter(gram_matrix(X, hp), hp)
-    return GpModel(X_train=X, hyperparams=hp, chol_factor=L, W=_weights(L, Y))
+    return GpModel(X_train=X, hyperparams=hp, W=_weights(L, Y))
+
+
+def cholesky_factor(model: GpModel) -> np.ndarray:
+    """Lower Cholesky factor of the map's Gram matrix, made as `fit` makes it."""
+    hp = model.hyperparams
+    return _cholesky_with_jitter(gram_matrix(model.X_train, hp), hp)
 
 
 def predict(model: GpModel, x_star) -> tuple[np.ndarray, float]:
@@ -227,16 +236,18 @@ def predict_batch(model: GpModel, X_star: np.ndarray) -> tuple[np.ndarray, np.nd
     """Vectorized predict over k query locations: (k x d means, k variances).
 
     The variance is clamped at 1e-12 when rounding drives it negative.
+    Each call makes the map's factor; FieldBuilder makes it once per grid.
     """
     X_star = np.asarray(X_star, dtype=float)
-    return predict_from_sq_dists(model, _sq_dists(X_star, model.X_train))
+    return predict_from_sq_dists(model, cholesky_factor(model), _sq_dists(X_star, model.X_train))
 
 
 def predict_from_sq_dists(
-    model: GpModel, D: np.ndarray, out: np.ndarray | None = None
+    model: GpModel, L: np.ndarray, D: np.ndarray, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """predict_batch from the k x n squared distances D of the query points to
-    the training locations, a C-order array that is overwritten.
+    """predict_batch from the model's factor L (`cholesky_factor`) and the
+    k x n squared distances D of the query points to the training
+    locations, a C-order array that is overwritten.
 
     D becomes the cross-kernel, then the solve's result: no other k x n
     array is allocated. The k x d means are written into `out` when it is
@@ -248,9 +259,7 @@ def predict_from_sq_dists(
     means = np.matmul(Kt, model.W, out=out)
     # No finiteness scan: the factor is finite, and a NaN query location
     # only makes its own row NaN, which the solve carries through.
-    v = solve_triangular(
-        model.chol_factor, Kt.T, lower=True, overwrite_b=True, check_finite=False
-    )
+    v = solve_triangular(L, Kt.T, lower=True, overwrite_b=True, check_finite=False)
     v *= v
     prior = hp.signal_variance + hp.noise_variance
     variances = prior - np.sum(v, axis=0)
@@ -262,8 +271,8 @@ def log_marginal_likelihood(X: np.ndarray, Y: np.ndarray, hp: GpHyperparams) -> 
     """Gaussian evidence of the targets, summed over output columns."""
     X = np.asarray(X, dtype=float)
     Y = _targets(X, Y)
-    model = fit(X, Y, hp)
-    return _evidence(Y, model.W, model.chol_factor)
+    L = _cholesky_with_jitter(gram_matrix(X, hp), hp)
+    return _evidence(Y, _weights(L, Y), L)
 
 
 def fit_by_evidence(X: np.ndarray, Ys: list, grid: list[GpHyperparams]) -> list[GpModel]:
@@ -273,14 +282,11 @@ def fit_by_evidence(X: np.ndarray, Ys: list, grid: list[GpHyperparams]) -> list[
     is built and factored once for all of them, into one n x n buffer
     reused across candidates, and the unit kernel exp(-d/l^2) is rebuilt
     only when the length scale differs from the previous candidate's.
-    During the walk each target keeps only its best candidate's evidence,
-    hyperparameters and weights, never a factor. Afterwards each distinct
-    winning candidate is factored once, with the call `fit` and
-    `model_from_dict` make, and the targets that chose it share that
-    factor; so the maps equal `fit` at the candidate that maximizes
-    `log_marginal_likelihood`, bit for bit. Non-PD candidates are skipped;
-    exact ties go to the smaller length_scale, then to the earlier grid
-    position.
+    Each target keeps only its best candidate's evidence, hyperparameters
+    and weights, never a factor, and the maps equal `fit` at the candidate
+    that maximizes `log_marginal_likelihood`, bit for bit. Non-PD
+    candidates are skipped; exact ties go to the smaller length_scale,
+    then to the earlier grid position.
     """
     if not grid:
         raise ConfigError("hyperparameter grid is empty")
@@ -307,12 +313,7 @@ def fit_by_evidence(X: np.ndarray, Ys: list, grid: list[GpHyperparams]) -> list[
         L = None  # freed before the next candidate is factored
     if any(b is None for b in best):
         raise GpFitError("every hyperparameter candidate produced a non-PD Gram matrix")
-    unit = G = None  # freed before the winners are factored
-    factors = {}
-    for _, hp, _ in best:
-        if hp not in factors:
-            factors[hp] = _cholesky_with_jitter(gram_matrix(X, hp), hp)
-    return [GpModel(X_train=X, hyperparams=hp, chol_factor=factors[hp], W=W) for _, hp, W in best]
+    return [GpModel(X_train=X, hyperparams=hp, W=W) for _, hp, W in best]
 
 
 def select_hyperparams(
@@ -331,14 +332,6 @@ def model_to_dict(model: GpModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> GpModel:
-    """Rebuild a map from model_to_dict output.
-
-    The Cholesky factor is not stored: it is recomputed from the training
-    locations and hyperparameters with the same call fit makes, so the
-    rebuilt factor equals the fitted one. The shapes are checked before
-    the Gram matrix is built from X.
-    """
+    """Rebuild a map from model_to_dict output; the constructor checks the shapes."""
     hp = GpHyperparams(**doc["hyperparams"])
-    X, W = np.array(doc["X_train"], dtype=float), np.array(doc["W"], dtype=float)
-    _check_rows(X, W, "W")
-    return GpModel(X, hp, _cholesky_with_jitter(gram_matrix(X, hp), hp), W)
+    return GpModel(np.array(doc["X_train"], dtype=float), hp, np.array(doc["W"], dtype=float))

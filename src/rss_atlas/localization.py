@@ -206,8 +206,9 @@ class FieldBuilder:
     `gp_map.predict_from_sq_dists` forms the kernel and solves; it writes
     the block's means straight into their rows of the means table, and
     the buffer is freed before the next block's is allocated. So beyond
-    its own tables a builder holds one block's buffer and the block's small
-    temporaries at a time. (b - a)^2 rounds exactly
+    its own tables and the map's n x n Cholesky factor, made first and
+    dropped when the blocks are done, a builder holds one block's buffer
+    and the block's small temporaries at a time. (b - a)^2 rounds exactly
     as (a - b)^2, so each block's tables equal predict_batch at its
     cell_centers().
 
@@ -227,6 +228,7 @@ class FieldBuilder:
         self.pipeline = pipeline
         self.grid = grid
         gp = pipeline.gp
+        L = gp_map.cholesky_factor(gp)
         xs, ys = grid.axis_centers()
         dx2 = xs[:, None] - gp.X_train[None, :, 0]
         dx2 *= dx2
@@ -238,7 +240,7 @@ class FieldBuilder:
         for start, stop in self._blocks(grid.n_cells):
             means = self._means[start:stop]
             _, self._variances[start:stop] = gp_map.predict_from_sq_dists(
-                gp, _block_sq_dists(dx2, dy2, start, stop), out=means
+                gp, L, _block_sq_dists(dx2, dy2, start, stop), out=means
             )
             self._mean_sq[start:stop] = np.sum(means * means, axis=1)
         self._log_norm = -0.5 * gp.output_dim * (LOG_2PI + np.log(self._variances))

@@ -12,7 +12,9 @@ from rss_atlas import autoencoder as ae
 from rss_atlas import cli
 from rss_atlas import dataset as dsm
 from rss_atlas import experiment as ex
+from rss_atlas import gp_map
 from rss_atlas import localization as loc
+from rss_atlas.errors import GpFitError
 
 
 def tiny_config(out_dir, seed=3):
@@ -224,7 +226,7 @@ class TestEvaluateCommand:
 
 
 class TestCompareCommand:
-    def test_five_ranked_rows(self, tmp_path):
+    def test_five_ranked_rows(self, tmp_path, capsys):
         doc = tiny_config(tmp_path / "out")
         doc["evaluation"]["raster_indices"] = []
         cfg = write_config(tmp_path, doc)
@@ -234,6 +236,9 @@ class TestCompareCommand:
         assert len(ranking) == 6
         labels = {line.split(",")[1] for line in ranking[1:]}
         assert labels == {"input", "pca30", "pca10", "sparse_ae", "distance_ae"}
+        # stdout lists the ranking in ranking.csv's order.
+        printed = [line.split(": ")[0] for line in capsys.readouterr().out.splitlines()]
+        assert printed == [f"{rank}. {label}" for rank, label, _, _ in (r.split(",") for r in ranking[1:])]
 
     def test_rerun_ranking_identical(self, tmp_path):
         doc = tiny_config(tmp_path / "out")
@@ -305,6 +310,18 @@ def _edit_pipeline(label, edit):
         path.write_text(json.dumps(pipe))
         doc["compressors"] = trained_config(out)["compressors"]
         return "evaluate"
+    return setup
+
+
+def _overflowing_number(label, edit):
+    """_edit_pipeline where `edit` puts the string "1e400" in place of a number,
+    which the file then holds as the bare number 1e400 (a double's range ends
+    near 1.8e308)."""
+    def setup(doc, out):
+        command = _edit_pipeline(label, edit)(doc, out)
+        path = out / f"pipeline_{label}.json"
+        path.write_text(path.read_text().replace('"1e400"', "1e400"))
+        return command
     return setup
 
 
@@ -590,6 +607,14 @@ FAILURES = {
         "pipeline_input.json: non-finite number NaN",
     ),
     "infinity_in_norm_stats": (_infinite_norm_std, 2, "norm_stats.json: non-finite number Infinity"),
+    "overflow_in_gp_x_train": (
+        _overflowing_number("input", lambda p: p["gp"]["X_train"][0].__setitem__(0, "1e400")), 2,
+        "pipeline_input.json: number 1e400 overflows a double",
+    ),
+    "overflow_in_latent_mean": (
+        _overflowing_number("input", lambda p: p["latent_mean"].__setitem__(0, "1e400")), 2,
+        "pipeline_input.json: number 1e400 overflows a double",
+    ),
     "huge_int_in_train_config": (
         _autoencoder_pipeline(ex.PIPELINE_FORMAT_VERSION, lambda_d=10**400), 2, "corrupt or unreadable artifact"
     ),
@@ -618,6 +643,29 @@ def test_failure_contract(case, tmp_path, trained_run, capsys):
     assert "Traceback" not in err
     assert fragment in err
     assert not list(out.glob("*.tmp"))
+    assert not list(out.glob("eval_*.csv")) and not (out / "summary.csv").exists()
+
+
+def test_unfactorable_map_loads_and_fails_in_evaluate(tmp_path, trained_run, monkeypatch, capsys):
+    """A pipeline file is read without factoring its map; a map whose Gram
+    matrix cannot be factored fails where the grid precompute makes the
+    factor, with exit 3, one stderr line and no eval or summary file."""
+    out = tmp_path / "out"
+    shutil.copytree(trained_run, out)
+
+    def refuse(K, hp):
+        raise GpFitError("covariance matrix is not positive definite")
+
+    monkeypatch.setattr(gp_map, "_cholesky_with_jitter", refuse)
+    pipe = ex._load_artifact(str(out / "pipeline_input.json"), ex.pipeline_from_dict)
+    assert pipe.gp.n > 0
+    cfg = ex.config_from_dict(identity_config(out))
+    with pytest.raises(GpFitError, match="not positive definite"):
+        ex.run_evaluate(cfg)
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", write_config(tmp_path, identity_config(out))]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["numerical failure: covariance matrix is not positive definite"]
     assert not list(out.glob("eval_*.csv")) and not (out / "summary.csv").exists()
 
 

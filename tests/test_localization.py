@@ -219,7 +219,7 @@ def n_by_k_predict_batch(model, X_star):
     hp = model.hyperparams
     k_star = gp_map.kernel_matrix(model.X_train, X_star, hp)
     means = k_star.T @ model.W
-    v = solve_triangular(model.chol_factor, k_star, lower=True)
+    v = solve_triangular(gp_map.cholesky_factor(model), k_star, lower=True)
     v *= v
     variances = hp.signal_variance + hp.noise_variance - np.sum(v, axis=0)
     return means, np.where(variances < 1e-12, 1e-12, variances)
@@ -288,10 +288,11 @@ class TestFieldBuilder:
 
     def test_precompute_memory_is_bounded_by_the_block(self):
         # numpy reports its buffers to tracemalloc. Beyond the per-cell tables
-        # (`tables` also counts _log_norm, built after the blocks) and the
-        # dx^2 / dy^2 axis tables, the precompute holds one n x block buffer
-        # at a time, plus the kernel floor's boolean mask (1/8 of it) while
-        # the kernel is formed: 1.097 n x block arrays for the widest block.
+        # (`tables` also counts _log_norm, built after the blocks), the
+        # dx^2 / dy^2 axis tables and the map's n x n factor, the precompute
+        # holds one n x block buffer at a time, plus the kernel floor's
+        # boolean mask (1/8 of it) while the kernel is formed: 1.097
+        # n x block arrays for the widest block.
         # A block's means held in an array of their own while the next block
         # is formed add d / n (1.150) and break the bound of 1.125; a second
         # n x block array, as a kernel copied to Fortran order, breaks it by far.
@@ -300,7 +301,7 @@ class TestFieldBuilder:
         pipe = random_pipeline(n, d, hp)
         grid = loc.Grid(0.0, 0.0, 1.0, 200, 100)
         widest = max(stop - start for start, stop in loc.FieldBuilder._blocks(grid.n_cells))
-        tables = 8 * grid.n_cells * (d + 3) + 8 * n * (grid.width + grid.height)
+        tables = 8 * grid.n_cells * (d + 3) + 8 * n * (grid.width + grid.height) + 8 * n * n
         tracemalloc.start()
         try:
             loc.FieldBuilder(pipe, grid)
