@@ -5,7 +5,7 @@ dimensions, so a fitted map predicts a d-vector mean and a single scalar
 variance per query point. A map is its stored data: training locations,
 hyperparameters and weights. The Cholesky factor that the variance needs
 is made from them by `cholesky_factor` where a prediction needs it
-(GPML Algorithm 2.1); the inverse is never formed.
+(GPML Algorithm 2.1); the Gram matrix's inverse is never formed.
 
 Unit-kernel entries exp(-d/l^2) below _KERNEL_FLOOR = 1e-100, i.e. at
 distances beyond 15.2 l, are stored as exact zeros. Each is about 84
@@ -21,11 +21,19 @@ The exponent is clamped at _EXP_CLAMP = -240 before exp, whose result there
 exp off arguments far below -745, where it is several times slower.
 rbf_kernel, the scalar oracle, keeps the untruncated formula.
 
+Every triangular solve is one blocked substitution, `_solve_rows`, built
+on numpy's own matrix product: the factor's diagonal blocks of
+_SOLVE_BLOCK columns are inverted once per factor (`block_inverses`), and
+each block of the solution is one product into a preallocated panel and
+one product by that block's inverse. The right-hand sides are the rows of
+a C-order array, solved in place. So the package needs no LAPACK solve
+beyond numpy's, and loads one BLAS.
+
 A prediction reads the cross-kernel as k x n, one C-order row per query
-point: the mean is one matrix product, and the triangular solve runs in
-place on its transpose, which is Fortran-ordered as LAPACK wants, so a
-block of k query points holds one k x n buffer. A caller that keeps the
-means in a table of its own passes that table's rows as the product's
+point: the mean is one matrix product, and the solve runs in place on the
+same buffer, each row a right-hand side, so a block of k query points
+holds one k x n buffer and one k x _SOLVE_BLOCK panel. A caller that keeps
+the means in a table of its own passes that table's rows as the product's
 output, so no k x d copy is made either.
 """
 
@@ -35,7 +43,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import ConfigError, DataError, GpFitError, check_numbers
 
@@ -43,6 +50,7 @@ _JITTER_SCALE = 1e-8
 _VARIANCE_FLOOR = 1e-12
 _KERNEL_FLOOR = 1e-100
 _EXP_CLAMP = -240.0  # exp(_EXP_CLAMP) < _KERNEL_FLOOR
+_SOLVE_BLOCK = 32  # columns of the factor per block of the triangular solves
 
 
 @dataclass(frozen=True)
@@ -159,9 +167,8 @@ def _cholesky_with_jitter(K: np.ndarray, hp: GpHyperparams) -> np.ndarray:
 
     The retry adds the jitter to K's diagonal in place (K is overwritten),
     which rounds exactly as K + jitter * I does without two more n x n arrays.
-    Every factor is made here, with np.linalg.cholesky: scipy's LAPACK
-    dpotrf differs from it by up to 3e-15 at n = 810, which would move the
-    last bits of the evidence, the weights and the grid variances.
+    Every factor is made here, with np.linalg.cholesky, so the search, `fit`
+    and the grid precompute solve with the same bits of the same factor.
     """
     try:
         return np.linalg.cholesky(K)
@@ -195,15 +202,86 @@ def _targets(X: np.ndarray, Y) -> np.ndarray:
     return Y
 
 
+def block_inverses(L: np.ndarray) -> np.ndarray:
+    """Inverses of the lower factor L's diagonal blocks of _SOLVE_BLOCK columns.
+
+    Returned as one (blocks, _SOLVE_BLOCK, _SOLVE_BLOCK) array. A last block
+    narrower than _SOLVE_BLOCK is padded with the identity, so its inverse
+    is the leading corner of its entry. All blocks are inverted together by
+    row-wise substitution: _SOLVE_BLOCK batched products per factor, and
+    every inverse exactly lower triangular.
+    """
+    n, b = L.shape[0], _SOLVE_BLOCK
+    diag = np.zeros((-(-n // b), b, b))
+    for j, s in enumerate(range(0, n, b)):
+        w = min(b, n - s)
+        diag[j, :w, :w] = L[s : s + w, s : s + w]
+        diag[j, range(w, b), range(w, b)] = 1.0
+    inv = np.zeros_like(diag)
+    for i in range(b):
+        row = np.matmul(diag[:, i, None, :i], inv[:, :i, : i + 1])[:, 0]
+        np.negative(row, out=row)
+        row[:, i] += 1.0
+        row /= diag[:, i, i, None]
+        inv[:, i, : i + 1] = row
+    return inv
+
+
+def _solve_rows(L: np.ndarray, inverses: np.ndarray, B: np.ndarray, transpose: bool = False) -> None:
+    """Solve L x = b (L^T x = b with `transpose`) for every row b of B, in place.
+
+    B is a C-order k x n array and `inverses` is `block_inverses(L)`. Block
+    J of every row is solved as (b_J - the solved blocks times L's part)
+    times the inverse of L's block J; the blocks run from the first, or
+    from the last with `transpose`. Each is two matrix products over all
+    k rows: the first into one k x _SOLVE_BLOCK panel, the second straight
+    into B's columns. A row is only ever combined with itself, so a NaN
+    row leaves every other row as it is.
+    """
+    k, n, b = B.shape[0], L.shape[0], _SOLVE_BLOCK
+    panel = np.empty(k * min(b, n))
+    blocks = list(enumerate(range(0, n, b)))
+    for j, s in reversed(blocks) if transpose else blocks:
+        e = min(s + b, n)
+        # C order for a narrow last block too: numpy buffers a strided
+        # output of the subtraction, at 3x the strided input's buffer.
+        p = panel[: k * (e - s)].reshape(k, e - s)
+        inv = inverses[j, : e - s, : e - s]
+        if transpose:
+            np.matmul(B[:, e:], L[e:, s:e], out=p)  # zeros for the last block
+        else:
+            np.matmul(B[:, :s], L[s:e, :s].T, out=p)  # zeros for the first block
+            inv = inv.T
+        np.subtract(B[:, s:e], p, out=p)
+        np.matmul(p, inv, out=B[:, s:e])
+
+
+def _whiten(L: np.ndarray, inverses: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """V = L^-1 Y for n x d targets Y, returned transposed: d x n, C order."""
+    V = np.array(Y.T, order="C")
+    _solve_rows(L, inverses, V)
+    return V
+
+
+def _weights_from(L: np.ndarray, inverses: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """W = L^-T V from `_whiten`'s d x n V, which is overwritten; W is n x d, C order."""
+    _solve_rows(L, inverses, V, transpose=True)
+    return np.ascontiguousarray(V.T)
+
+
 def _weights(L: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """W solving (L L^T) W = Y by two triangular solves."""
-    return solve_triangular(L.T, solve_triangular(L, Y, lower=True), lower=False)
+    """W solving (L L^T) W = Y by a forward and a back substitution."""
+    inverses = block_inverses(L)
+    return _weights_from(L, inverses, _whiten(L, inverses, Y))
 
 
-def _evidence(Y: np.ndarray, W: np.ndarray, L: np.ndarray) -> float:
-    """Log evidence of n x d targets Y, summed over columns, from W and the factor L."""
-    n, d = Y.shape
-    data_term = -0.5 * float(np.sum(Y * W))
+def _evidence(V: np.ndarray, L: np.ndarray) -> float:
+    """Log evidence of n x d targets Y, summed over columns, from `_whiten`'s V and L.
+
+    Y^T (L L^T)^-1 Y = V^T V, so the data term needs the forward solve only.
+    """
+    d, n = V.shape
+    data_term = -0.5 * float(np.sum(V * V))
     logdet_term = -d * float(np.sum(np.log(np.diag(L))))
     return data_term + logdet_term - 0.5 * n * d * math.log(2.0 * math.pi)
 
@@ -239,15 +317,17 @@ def predict_batch(model: GpModel, X_star: np.ndarray) -> tuple[np.ndarray, np.nd
     Each call makes the map's factor; FieldBuilder makes it once per grid.
     """
     X_star = np.asarray(X_star, dtype=float)
-    return predict_from_sq_dists(model, cholesky_factor(model), _sq_dists(X_star, model.X_train))
+    L = cholesky_factor(model)
+    return predict_from_sq_dists(model, L, block_inverses(L), _sq_dists(X_star, model.X_train))
 
 
 def predict_from_sq_dists(
-    model: GpModel, L: np.ndarray, D: np.ndarray, out: np.ndarray | None = None
+    model: GpModel, L: np.ndarray, inverses: np.ndarray, D: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """predict_batch from the model's factor L (`cholesky_factor`) and the
-    k x n squared distances D of the query points to the training
-    locations, a C-order array that is overwritten.
+    """predict_batch from the model's factor L (`cholesky_factor`), its
+    `block_inverses` and the k x n squared distances D of the query points
+    to the training locations, a C-order array that is overwritten.
 
     D becomes the cross-kernel, then the solve's result: no other k x n
     array is allocated. The k x d means are written into `out` when it is
@@ -259,10 +339,10 @@ def predict_from_sq_dists(
     means = np.matmul(Kt, model.W, out=out)
     # No finiteness scan: the factor is finite, and a NaN query location
     # only makes its own row NaN, which the solve carries through.
-    v = solve_triangular(L, Kt.T, lower=True, overwrite_b=True, check_finite=False)
-    v *= v
+    _solve_rows(L, inverses, Kt)
+    Kt *= Kt
     prior = hp.signal_variance + hp.noise_variance
-    variances = prior - np.sum(v, axis=0)
+    variances = prior - np.sum(Kt, axis=1)
     variances = np.where(variances < _VARIANCE_FLOOR, _VARIANCE_FLOOR, variances)
     return means, variances
 
@@ -272,7 +352,7 @@ def log_marginal_likelihood(X: np.ndarray, Y: np.ndarray, hp: GpHyperparams) -> 
     X = np.asarray(X, dtype=float)
     Y = _targets(X, Y)
     L = _cholesky_with_jitter(gram_matrix(X, hp), hp)
-    return _evidence(Y, _weights(L, Y), L)
+    return _evidence(_whiten(L, block_inverses(L), Y), L)
 
 
 def fit_by_evidence(X: np.ndarray, Ys: list, grid: list[GpHyperparams]) -> list[GpModel]:
@@ -282,6 +362,8 @@ def fit_by_evidence(X: np.ndarray, Ys: list, grid: list[GpHyperparams]) -> list[
     is built and factored once for all of them, into one n x n buffer
     reused across candidates, and the unit kernel exp(-d/l^2) is rebuilt
     only when the length scale differs from the previous candidate's.
+    A target's evidence needs only the forward solve (`_evidence`); its
+    weights are solved back only when the candidate beats its best so far.
     Each target keeps only its best candidate's evidence, hyperparameters
     and weights, never a factor, and the maps equal `fit` at the candidate
     that maximizes `log_marginal_likelihood`, bit for bit. Non-PD
@@ -304,12 +386,13 @@ def fit_by_evidence(X: np.ndarray, Ys: list, grid: list[GpHyperparams]) -> list[
             L = _cholesky_with_jitter(G, hp)
         except GpFitError:
             continue
+        inverses = block_inverses(L)
         for t, Y in enumerate(Ys):
-            W = _weights(L, Y)
-            ev = _evidence(Y, W, L)
+            V = _whiten(L, inverses, Y)
+            ev = _evidence(V, L)
             b = best[t]
             if b is None or ev > b[0] or (ev == b[0] and hp.length_scale < b[1].length_scale):
-                best[t] = (ev, hp, W)
+                best[t] = (ev, hp, _weights_from(L, inverses, V))
         L = None  # freed before the next candidate is factored
     if any(b is None for b in best):
         raise GpFitError("every hyperparameter candidate produced a non-PD Gram matrix")

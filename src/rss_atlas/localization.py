@@ -206,29 +206,28 @@ class FieldBuilder:
     `gp_map.predict_from_sq_dists` forms the kernel and solves; it writes
     the block's means straight into their rows of the means table, and
     the buffer is freed before the next block's is allocated. So beyond
-    its own tables and the map's n x n Cholesky factor, made first and
-    dropped when the blocks are done, a builder holds one block's buffer
-    and the block's small temporaries at a time. (b - a)^2 rounds exactly
-    as (a - b)^2, so each block's tables equal predict_batch at its
-    cell_centers().
+    its own tables and the map's n x n Cholesky factor and its block
+    inverses, made first and dropped when the blocks are done, a builder
+    holds one block's buffer, the solve's panel and the block's small
+    temporaries at a time. (b - a)^2 rounds exactly as (a - b)^2, so each
+    block's tables equal predict_batch at its cell_centers().
 
-    With one OpenBLAS thread the blocks give the bits of one whole-grid
-    predict_batch. OpenBLAS's triangular solve works on groups of 12
-    columns and rounds a partial group at the end of a call differently,
-    so every block but the last is whole groups. Its matrix product takes
-    another path for small products, so no block is narrower than _BLOCK.
-    With more threads OpenBLAS splits a call's columns among them, so
-    partial groups fall elsewhere and the last bits can differ.
+    The blocks also give the bits of one whole-grid predict_batch, at any
+    BLAS thread count: each product of the precompute gives a cell's row
+    the bits it has in the whole-grid product, as long as the product has
+    many rows. OpenBLAS rounds a product with few rows differently, so no
+    block is narrower than _BLOCK cells, and the blocks are of nearly equal
+    width, so that each reuses the memory the one before it freed.
     """
 
     _BLOCK = 2016
-    _GROUP = 12
 
     def __init__(self, pipeline: Pipeline, grid: Grid):
         self.pipeline = pipeline
         self.grid = grid
         gp = pipeline.gp
         L = gp_map.cholesky_factor(gp)
+        inverses = gp_map.block_inverses(L)
         xs, ys = grid.axis_centers()
         dx2 = xs[:, None] - gp.X_train[None, :, 0]
         dx2 *= dx2
@@ -240,7 +239,7 @@ class FieldBuilder:
         for start, stop in self._blocks(grid.n_cells):
             means = self._means[start:stop]
             _, self._variances[start:stop] = gp_map.predict_from_sq_dists(
-                gp, L, _block_sq_dists(dx2, dy2, start, stop), out=means
+                gp, L, inverses, _block_sq_dists(dx2, dy2, start, stop), out=means
             )
             self._mean_sq[start:stop] = np.sum(means * means, axis=1)
         self._log_norm = -0.5 * gp.output_dim * (LOG_2PI + np.log(self._variances))
@@ -249,8 +248,7 @@ class FieldBuilder:
     def _blocks(cls, n_cells: int) -> list[tuple[int, int]]:
         """(start, stop) cell ranges of the precompute's blocks."""
         n_blocks = max(1, n_cells // cls._BLOCK)
-        groups = n_cells // cls._GROUP
-        edges = [cls._GROUP * (b * groups // n_blocks) for b in range(n_blocks)]
+        edges = [b * n_cells // n_blocks for b in range(n_blocks)]
         return list(zip(edges, edges[1:] + [n_cells]))
 
     def log_likelihoods(self, z) -> np.ndarray:
@@ -357,8 +355,9 @@ def evaluate(
     KL(ideal || field) against the ideal posterior at the true location,
     and record the distance from the field's argmax cell to the truth.
     The fields of the rows named in raster_indices are kept in each
-    result's `rasters`. A package error while scoring a row is re-raised
-    as the same class, its message prefixed with the row index.
+    result's `rasters`. A package error while scoring a pipeline is
+    re-raised as the same class, its message prefixed with the pipeline's
+    label and, for a test row, the row index.
 
     `pipelines` is any iterable and is consumed one pipeline at a time:
     a pipeline and its FieldBuilder are released before the next one is
@@ -374,30 +373,38 @@ def evaluate(
     # from_log; numpy's overflow warning would only print before it.
     with np.errstate(over="ignore", invalid="ignore"):
         for pipeline in pipelines:
-            builder = FieldBuilder(pipeline, grid)
-            kl_values, errors, rasters = [], [], {}
-            for i in range(test_set.n):
-                try:
-                    fld = builder.field_for(test_set.Z[i])
-                    ideal = ideal_posterior(grid, test_set.X[i], sigma)
-                except RssAtlasError as exc:
-                    raise type(exc)(f"test point {i}: {exc}") from exc
-                kl_values.append(kl_divergence(ideal, fld))
-                ax, ay = fld.argmax_center()
-                errors.append(math.hypot(ax - test_set.X[i, 0], ay - test_set.X[i, 1]))
-                if i in keep:
-                    rasters[i] = fld
-            results.append(
-                EvalResult(
-                    label=pipeline.label,
-                    kl_values=np.array(kl_values),
-                    argmax_errors_m=np.array(errors),
-                    rasters=rasters,
-                )
-            )
+            try:
+                results.append(_score_pipeline(pipeline, test_set, grid, sigma, keep))
+            except RssAtlasError as exc:
+                raise type(exc)(f"pipeline {pipeline.label}: {exc}") from exc
             # Freed before the next pipeline is requested.
-            del builder, pipeline
+            del pipeline
     return results
+
+
+def _score_pipeline(
+    pipeline: Pipeline, test_set: SurveyDataset, grid: Grid, sigma: float, keep: set[int]
+) -> EvalResult:
+    """One pipeline's EvalResult; its FieldBuilder is freed on return."""
+    builder = FieldBuilder(pipeline, grid)
+    kl_values, errors, rasters = [], [], {}
+    for i in range(test_set.n):
+        try:
+            fld = builder.field_for(test_set.Z[i])
+            ideal = ideal_posterior(grid, test_set.X[i], sigma)
+        except RssAtlasError as exc:
+            raise type(exc)(f"test point {i}: {exc}") from exc
+        kl_values.append(kl_divergence(ideal, fld))
+        ax, ay = fld.argmax_center()
+        errors.append(math.hypot(ax - test_set.X[i, 0], ay - test_set.X[i, 1]))
+        if i in keep:
+            rasters[i] = fld
+    return EvalResult(
+        label=pipeline.label,
+        kl_values=np.array(kl_values),
+        argmax_errors_m=np.array(errors),
+        rasters=rasters,
+    )
 
 
 def save_field_pgm(fld: LikelihoodField, path) -> None:

@@ -619,7 +619,11 @@ FAILURES = {
         _autoencoder_pipeline(ex.PIPELINE_FORMAT_VERSION, lambda_d=10**400), 2, "corrupt or unreadable artifact"
     ),
     "underflowing_test_row": (_underflowing_test_row, 2, "not physical"),
-    "overflowing_latent_std": (_overflowing_latent_std, 3, "test point 0"),
+    "overflowing_latent_std": (_overflowing_latent_std, 3, "pipeline input: test point 0"),
+    "overflowing_latent_std_of_a_later_pipeline": (
+        _edit_pipeline("pca4", lambda p: p.__setitem__("latent_std", [1e-300] * len(p["latent_std"]))),
+        3, "numerical failure: pipeline pca4: test point 0: ",
+    ),
 }
 
 
@@ -665,7 +669,7 @@ def test_unfactorable_map_loads_and_fails_in_evaluate(tmp_path, trained_run, mon
     capsys.readouterr()
     assert cli.main(["evaluate", "--config", write_config(tmp_path, identity_config(out))]) == 3
     err = capsys.readouterr().err
-    assert err.splitlines() == ["numerical failure: covariance matrix is not positive definite"]
+    assert err.splitlines() == ["numerical failure: pipeline input: covariance matrix is not positive definite"]
     assert not list(out.glob("eval_*.csv")) and not (out / "summary.csv").exists()
 
 

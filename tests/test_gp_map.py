@@ -253,6 +253,104 @@ class TestFit:
         assert np.all(np.isfinite(model.W))
 
 
+def package_factor(X, hp):
+    """The factor of a Gram matrix built as the package builds it: `_gram`
+    of `_unit_kernel`, factored by `_cholesky_with_jitter`."""
+    unit = gp_map._unit_kernel(X, X, hp.length_scale)
+    return gp_map._cholesky_with_jitter(gp_map._gram(unit, hp, out=unit), hp)
+
+
+def solve_case(name):
+    """(locations, hyperparameters) of one factor the blocked solve is checked on."""
+    b = gp_map._SOLVE_BLOCK
+    rng = np.random.default_rng(7)
+    if name == "jitter":  # a duplicated location and no noise: the retry's factor
+        X = rng.uniform(0, 40, size=(2 * b + 3, 2))
+        X[1] = X[0]
+        return X, GpHyperparams(1.0, 5.0, 0.0)
+    if name == "l2":  # 120 m across at l = 2 m: most unit-kernel entries are floored to 0
+        return rng.uniform(0, 120, size=(4 * b + 9, 2)), GpHyperparams(1.0, 2.0, 0.1)
+    n = {"n1": 1, "below": b - 7, "equal": b, "multiple": 3 * b, "not_multiple": 3 * b + 5}[name]
+    return rng.uniform(0, 40, size=(n, 2)), GpHyperparams(0.5, 10.0, 0.05)
+
+
+SOLVE_CASES = ["n1", "below", "equal", "multiple", "not_multiple", "jitter", "l2"]
+# Largest entry of the difference from np.linalg.solve, relative to the
+# largest entry of its solution. Measured on these cases: at most 1.1e-15
+# for one solve and 5.9e-15 for the weights, two solves.
+SOLVE_RTOL = 1e-13
+
+
+class TestBlockedSolve:
+    @pytest.mark.parametrize("case", SOLVE_CASES)
+    @pytest.mark.parametrize("rows", [1, 9, 300])
+    @pytest.mark.parametrize("transpose", [False, True], ids=["L", "LT"])
+    def test_matches_numpy_solve(self, case, rows, transpose):
+        X, hp = solve_case(case)
+        L = package_factor(X, hp)
+        if case == "jitter":
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(gp_map.gram_matrix(X, hp))
+        if case == "l2":
+            assert np.mean(gp_map._unit_kernel(X, X, hp.length_scale) == 0.0) > 0.5
+        rhs = np.random.default_rng(rows).normal(size=(rows, X.shape[0]))
+        got = rhs.copy()
+        gp_map._solve_rows(L, gp_map.block_inverses(L), got, transpose)
+        want = np.linalg.solve(L.T if transpose else L, rhs.T).T
+        assert np.max(np.abs(got - want)) <= SOLVE_RTOL * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("case", SOLVE_CASES)
+    def test_block_inverses_are_lower_triangular_inverses(self, case):
+        L = package_factor(*solve_case(case))
+        b, n = gp_map._SOLVE_BLOCK, L.shape[0]
+        inverses = gp_map.block_inverses(L)
+        assert inverses.shape == (-(-n // b), b, b)
+        for j, s in enumerate(range(0, n, b)):
+            w = min(b, n - s)
+            inv = inverses[j, :w, :w]
+            assert np.array_equal(inv, np.tril(inv))
+            np.testing.assert_allclose(L[s : s + w, s : s + w] @ inv, np.eye(w), atol=1e-10)
+
+    @pytest.mark.parametrize("case", ["n1", "not_multiple", "l2"])
+    @pytest.mark.parametrize("d", [1, 7])
+    def test_weights_match_numpy_solve(self, case, d):
+        X, hp = solve_case(case)
+        Y = np.random.default_rng(d).normal(size=(X.shape[0], d))
+        W = gp_map._weights(package_factor(X, hp), Y)
+        want = np.linalg.solve(gp_map.gram_matrix(X, hp), Y)
+        assert W.flags.c_contiguous
+        assert np.max(np.abs(W - want)) <= SOLVE_RTOL * np.max(np.abs(want))
+
+    def test_nan_row_stays_in_its_row(self):
+        X, hp = solve_case("not_multiple")
+        L = package_factor(X, hp)
+        inverses = gp_map.block_inverses(L)
+        k = 300
+        rhs = np.random.default_rng(0).normal(size=(k, X.shape[0]))
+        for row in (2, k - 3):
+            dirty = rhs.copy()
+            dirty[row, 40] = np.nan
+            for transpose in (False, True):
+                clean, got = rhs.copy(), dirty.copy()
+                gp_map._solve_rows(L, inverses, clean, transpose)
+                gp_map._solve_rows(L, inverses, got, transpose)
+                assert np.isnan(got[row]).any()
+                others = np.arange(k) != row
+                assert np.array_equal(got[others], clean[others])
+
+    def test_nan_query_location_stays_in_its_row(self, rng):
+        X, hp = solve_case("not_multiple")
+        model = gp_map.fit(X, rng.normal(size=(X.shape[0], 3)), hp)
+        stars = rng.uniform(0, 40, size=(5, 2))
+        means, variances = gp_map.predict_batch(model, stars)
+        stars[3, 0] = np.nan
+        nan_means, nan_variances = gp_map.predict_batch(model, stars)
+        assert np.isnan(nan_means[3]).all() and np.isnan(nan_variances[3])
+        others = [0, 1, 2, 4]
+        assert np.array_equal(nan_means[others], means[others])
+        assert np.array_equal(nan_variances[others], variances[others])
+
+
 class TestPredict:
     def test_noiseless_interpolation(self, rng):
         hp = GpHyperparams(signal_variance=1.0, length_scale=5.0, noise_variance=0.0)
