@@ -372,14 +372,26 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write(path, lambda fh: fh.write(text))
 
 
-def save_csv(ds: SurveyDataset, path) -> None:
-    """Write the CSV schema read by load_csv. repr floats round-trip exactly."""
-    lines = ["x,y," + ",".join(ds.ap_ids)]
-    for i in range(ds.n):
-        cells = [repr(float(ds.X[i, 0])), repr(float(ds.X[i, 1]))]
-        cells += [repr(float(v)) for v in ds.Z[i]]
-        lines.append(",".join(cells))
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows of cells as CSV, through `atomic_write_text`.
+
+    A float cell is written as repr(float(v)), which round-trips exactly,
+    None as an empty cell, and anything else as str(v).
+    """
+    def cell(v) -> str:
+        if isinstance(v, (float, np.floating)):
+            return repr(float(v))
+        return "" if v is None else str(v)
+
+    lines = [",".join(header)]
+    lines += [",".join(map(cell, row)) for row in rows]
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def save_csv(ds: SurveyDataset, path) -> None:
+    """Write the CSV schema read by load_csv."""
+    rows = ([x, y, *z] for (x, y), z in zip(ds.X.tolist(), ds.Z.tolist()))
+    write_csv(path, ["x", "y", *ds.ap_ids], rows)
 
 
 def normalize(ds: SurveyDataset) -> tuple[SurveyDataset, NormalizationStats]:

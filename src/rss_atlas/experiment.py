@@ -24,7 +24,7 @@ from . import dataset as ds_mod
 from . import gp_map
 from . import localization as loc
 from . import pca as pca_mod
-from .dataset import atomic_write_text
+from .dataset import atomic_write_text  # noqa: F401  traced by name: experiment.atomic_write_text
 from .errors import ConfigError, DataError, NumericalError, check_number, check_numbers
 from .localization import (
     AutoencoderCompressor,
@@ -501,29 +501,24 @@ def run_train(cfg: ExperimentConfig, manifest: Manifest | None = None) -> list[s
     pipelines = build_pipelines([(spec.label, comp) for spec, comp, _ in built], train_norm, cfg.gp_grid)
     manifest.stage("gp_search")
 
-    summary_lines = ["label,kind,latent_dim,final_rmse,final_rmse_dbm,epochs"]
+    summary = []
     for (spec, compressor, report), pipeline in zip(built, pipelines):
         label = spec.label
         path = os.path.join(outdir, f"pipeline_{label}.json")
         _write_json(path, pipeline_to_dict(pipeline))
         manifest.artifact(path)
-
+        trained = [None, None, None]  # empty cells for a compressor without a report
         if report is not None:
-            lines = ["epoch,reconstruction,sparsity,distance"]
-            for e, (r, s, d) in enumerate(
-                zip(report.recon_losses, report.sparsity_losses, report.distance_losses), 1
-            ):
-                lines.append(f"{e},{r!r},{s!r},{d!r}")
-            atomic_write_text(os.path.join(outdir, f"train_report_{label}.csv"), "\n".join(lines) + "\n")
-            manifest.artifact(f"train_report_{label}.csv")
-            summary_lines.append(
-                f"{label},{spec.kind},{compressor.latent_dim},"
-                f"{report.final_rmse!r},{report.final_rmse_dbm!r},{len(report.recon_losses)}"
-            )
-        else:
-            summary_lines.append(f"{label},{spec.kind},{compressor.latent_dim},,,")
+            path = os.path.join(outdir, f"train_report_{label}.csv")
+            losses = zip(report.recon_losses, report.sparsity_losses, report.distance_losses)
+            ds_mod.write_csv(path, ["epoch", "reconstruction", "sparsity", "distance"],
+                             ([e, *loss] for e, loss in enumerate(losses, 1)))
+            manifest.artifact(path)
+            trained = [report.final_rmse, report.final_rmse_dbm, len(report.recon_losses)]
+        summary.append([label, spec.kind, compressor.latent_dim, *trained])
 
-    atomic_write_text(os.path.join(outdir, "training_summary.csv"), "\n".join(summary_lines) + "\n")
+    ds_mod.write_csv(os.path.join(outdir, "training_summary.csv"),
+                     ["label", "kind", "latent_dim", "final_rmse", "final_rmse_dbm", "epochs"], summary)
     manifest.artifact("training_summary.csv")
     manifest.stage("write")
     if own_manifest:
@@ -574,19 +569,16 @@ def run_evaluate(cfg: ExperimentConfig, manifest: Manifest | None = None) -> lis
     results = loc.evaluate(pipelines, test_norm, grid, ev.sigma_m, ev.raster_indices)
     manifest.stage("evaluate")
 
-    summary_lines = ["label,mean_kl,mean_argmax_error_m"]
     for result in results:
         per_point = os.path.join(outdir, f"eval_{result.label}.csv")
         loc.save_eval_csv(result, test_norm, per_point)
         manifest.artifact(per_point)
-        summary_lines.append(
-            f"{result.label},{result.mean_kl!r},{result.mean_argmax_error_m!r}"
-        )
         for idx in ev.raster_indices:
             raster = os.path.join(outdir, f"field_{result.label}_{idx:04d}.pgm")
             loc.save_field_pgm(result.rasters[idx], raster)
             manifest.artifact(raster)
-    atomic_write_text(os.path.join(outdir, "summary.csv"), "\n".join(summary_lines) + "\n")
+    ds_mod.write_csv(os.path.join(outdir, "summary.csv"), ["label", "mean_kl", "mean_argmax_error_m"],
+                     ([r.label, r.mean_kl, r.mean_argmax_error_m] for r in results))
     manifest.artifact("summary.csv")
     manifest.stage("report")
     if own_manifest:
@@ -602,10 +594,9 @@ def run_compare(cfg: ExperimentConfig) -> list[loc.EvalResult]:
     run_train(cfg, manifest)
     results = run_evaluate(cfg, manifest)
     ranked = sorted(results, key=lambda r: r.mean_kl)
-    lines = ["rank,label,mean_kl,mean_argmax_error_m"]
-    for rank, r in enumerate(ranked, 1):
-        lines.append(f"{rank},{r.label},{r.mean_kl!r},{r.mean_argmax_error_m!r}")
-    atomic_write_text(os.path.join(cfg.output_dir, "ranking.csv"), "\n".join(lines) + "\n")
+    ds_mod.write_csv(os.path.join(cfg.output_dir, "ranking.csv"),
+                     ["rank", "label", "mean_kl", "mean_argmax_error_m"],
+                     ([i, r.label, r.mean_kl, r.mean_argmax_error_m] for i, r in enumerate(ranked, 1)))
     manifest.artifact("ranking.csv")
     manifest.stage("rank")
     manifest.write(cfg.output_dir)

@@ -29,12 +29,11 @@ one product by that block's inverse. The right-hand sides are the rows of
 a C-order array, solved in place. So the package needs no LAPACK solve
 beyond numpy's, and loads one BLAS.
 
-A prediction reads the cross-kernel as k x n, one C-order row per query
-point: the mean is one matrix product, and the solve runs in place on the
-same buffer, each row a right-hand side, so a block of k query points
-holds one k x n buffer and one k x _SOLVE_BLOCK panel. A caller that keeps
-the means in a table of its own passes that table's rows as the product's
-output, so no k x d copy is made either.
+Every prediction is `predict_rows`: the query points _ROWS = 256 at a
+time from row 0, one C-order row each in one reused _ROWS x n buffer, in
+which the kernel is formed and the solve runs in place. `predict_batch`
+and the grid precompute cut the same chunks, so they issue the same
+products on the same rows and agree bit for bit at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ _VARIANCE_FLOOR = 1e-12
 _KERNEL_FLOOR = 1e-100
 _EXP_CLAMP = -240.0  # exp(_EXP_CLAMP) < _KERNEL_FLOOR
 _SOLVE_BLOCK = 32  # columns of the factor per block of the triangular solves
+_ROWS = 256  # query points per chunk of every prediction
 
 
 @dataclass(frozen=True)
@@ -102,15 +102,16 @@ def rbf_kernel(x_p, x_q, hp: GpHyperparams) -> float:
     return float(hp.signal_variance * np.exp(-float(d @ d) / hp.length_scale**2))
 
 
-def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Squared distances between the rows of two 2-D location sets (n x k).
+def _sq_dists(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Squared distances between the rows of two 2-D location sets (n x k),
+    written into `out` when it is given.
 
     Differences, not the expanded |a|^2+|b|^2-2ab form: exact symmetry and
     no cancellation for nearby points. Summed one axis at a time, in place,
     so no n x k x 2 temporary is built; dx*dx + dy*dy rounds exactly as a
     sum over the coordinate axis does.
     """
-    D = A[:, 0, None] - B[None, :, 0]
+    D = np.subtract(A[:, 0, None], B[None, :, 0], out=out)
     D *= D
     dy = A[:, 1, None] - B[None, :, 1]
     dy *= dy
@@ -313,38 +314,49 @@ def predict(model: GpModel, x_star) -> tuple[np.ndarray, float]:
 def predict_batch(model: GpModel, X_star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized predict over k query locations: (k x d means, k variances).
 
-    The variance is clamped at 1e-12 when rounding drives it negative.
-    Each call makes the map's factor; FieldBuilder makes it once per grid.
+    `predict_rows` with each chunk's squared distances from `_sq_dists`.
     """
     X_star = np.asarray(X_star, dtype=float)
-    L = cholesky_factor(model)
-    return predict_from_sq_dists(model, L, block_inverses(L), _sq_dists(X_star, model.X_train))
+    k = X_star.shape[0]
+    means = np.empty((k, model.output_dim))
+    variances = predict_rows(
+        model, k, lambda start, stop, D: _sq_dists(X_star[start:stop], model.X_train, out=D), means
+    )
+    return means, variances
 
 
-def predict_from_sq_dists(
-    model: GpModel, L: np.ndarray, inverses: np.ndarray, D: np.ndarray,
-    out: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """predict_batch from the model's factor L (`cholesky_factor`), its
-    `block_inverses` and the k x n squared distances D of the query points
-    to the training locations, a C-order array that is overwritten.
+def predict_rows(model: GpModel, k: int, sq_dists, means: np.ndarray) -> np.ndarray:
+    """Predict k query points _ROWS at a time; return their k variances.
 
-    D becomes the cross-kernel, then the solve's result: no other k x n
-    array is allocated. The k x d means are written into `out` when it is
-    given (the same matrix product, so the same bits) and returned.
+    `sq_dists(start, stop, D)` writes the squared distances of query points
+    start..stop-1 to the training locations into the C-order (stop - start)
+    x n buffer D. D becomes the cross-kernel, the means of those points go
+    into `means[start:stop]` (a C-order k x d table) by one matrix product,
+    and the solve runs in place on D. The map's factor and block inverses
+    are made first and dropped on return. A variance that rounding drives
+    below 1e-12 is clamped there.
     """
     hp = model.hyperparams
-    Kt = _exp_kernel(D, hp.length_scale)
-    Kt *= hp.signal_variance
-    means = np.matmul(Kt, model.W, out=out)
-    # No finiteness scan: the factor is finite, and a NaN query location
-    # only makes its own row NaN, which the solve carries through.
-    _solve_rows(L, inverses, Kt)
-    Kt *= Kt
+    L = cholesky_factor(model)
+    inverses = block_inverses(L)
     prior = hp.signal_variance + hp.noise_variance
-    variances = prior - np.sum(Kt, axis=1)
-    variances = np.where(variances < _VARIANCE_FLOOR, _VARIANCE_FLOOR, variances)
-    return means, variances
+    variances = np.empty(k)
+    buffer = np.empty((min(k, _ROWS), model.n))
+    for start in range(0, k, _ROWS):
+        stop = min(start + _ROWS, k)
+        Kt = buffer[: stop - start]
+        sq_dists(start, stop, Kt)
+        _exp_kernel(Kt, hp.length_scale)
+        Kt *= hp.signal_variance
+        np.matmul(Kt, model.W, out=means[start:stop])
+        # No finiteness scan: the factor is finite, and a NaN query location
+        # only makes its own row NaN, which the solve carries through.
+        _solve_rows(L, inverses, Kt)
+        Kt *= Kt
+        v = np.sum(Kt, axis=1, out=variances[start:stop])
+        np.subtract(prior, v, out=v)
+        np.copyto(v, _VARIANCE_FLOOR, where=v < _VARIANCE_FLOOR)
+    return variances
 
 
 def log_marginal_likelihood(X: np.ndarray, Y: np.ndarray, hp: GpHyperparams) -> float:

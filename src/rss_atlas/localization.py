@@ -12,13 +12,14 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import autoencoder as ae
 from . import gp_map
 from . import pca as pca_mod
-from .dataset import SurveyDataset, atomic_write_text
+from .dataset import SurveyDataset, atomic_write_text, write_csv
 from .errors import ConfigError, DataError, LikelihoodUnderflowError, RssAtlasError
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -198,36 +199,20 @@ class FieldBuilder:
     """Precomputed per-cell GP predictions for one pipeline on one grid.
 
     The predictions depend only on the grid and the pipeline, so building
-    fields for many measurements reuses them. The precompute splits the
-    grid into as many blocks of at least _BLOCK cells as fit, of nearly
-    equal width. A block's squared distances to the n training points are
-    built from two axis tables, dx^2 (width x n) and dy^2 (height x n),
-    into one C-order (block cells) x n buffer, in which
-    `gp_map.predict_from_sq_dists` forms the kernel and solves; it writes
-    the block's means straight into their rows of the means table, and
-    the buffer is freed before the next block's is allocated. So beyond
-    its own tables and the map's n x n Cholesky factor and its block
-    inverses, made first and dropped when the blocks are done, a builder
-    holds one block's buffer, the solve's panel and the block's small
-    temporaries at a time. (b - a)^2 rounds exactly as (a - b)^2, so each
-    block's tables equal predict_batch at its cell_centers().
-
-    The blocks also give the bits of one whole-grid predict_batch, at any
-    BLAS thread count: each product of the precompute gives a cell's row
-    the bits it has in the whole-grid product, as long as the product has
-    many rows. OpenBLAS rounds a product with few rows differently, so no
-    block is narrower than _BLOCK cells, and the blocks are of nearly equal
-    width, so that each reuses the memory the one before it freed.
+    fields for many measurements reuses them. `gp_map.predict_rows`
+    predicts the cells in x-major order, each chunk's squared distances
+    added from two axis tables, dx^2 (width x n) and dy^2 (height x n), and
+    its means written straight into the means table; the squared means
+    are then summed a chunk at a time. (b - a)^2 rounds exactly as
+    (a - b)^2, so the tables equal predict_batch at cell_centers() bit for
+    bit, and beyond them and the axis tables a builder holds only what
+    `predict_rows` holds.
     """
-
-    _BLOCK = 2016
 
     def __init__(self, pipeline: Pipeline, grid: Grid):
         self.pipeline = pipeline
         self.grid = grid
         gp = pipeline.gp
-        L = gp_map.cholesky_factor(gp)
-        inverses = gp_map.block_inverses(L)
         xs, ys = grid.axis_centers()
         dx2 = xs[:, None] - gp.X_train[None, :, 0]
         dx2 *= dx2
@@ -235,21 +220,13 @@ class FieldBuilder:
         dy2 *= dy2
         self._means = np.empty((grid.n_cells, gp.output_dim))
         self._mean_sq = np.empty(grid.n_cells)
-        self._variances = np.empty(grid.n_cells)
-        for start, stop in self._blocks(grid.n_cells):
-            means = self._means[start:stop]
-            _, self._variances[start:stop] = gp_map.predict_from_sq_dists(
-                gp, L, inverses, _block_sq_dists(dx2, dy2, start, stop), out=means
-            )
-            self._mean_sq[start:stop] = np.sum(means * means, axis=1)
+        self._variances = gp_map.predict_rows(
+            gp, grid.n_cells, partial(_cell_sq_dists, dx2, dy2), self._means
+        )
+        for start in range(0, grid.n_cells, gp_map._ROWS):
+            means = self._means[start : start + gp_map._ROWS]
+            np.sum(means * means, axis=1, out=self._mean_sq[start : start + gp_map._ROWS])
         self._log_norm = -0.5 * gp.output_dim * (LOG_2PI + np.log(self._variances))
-
-    @classmethod
-    def _blocks(cls, n_cells: int) -> list[tuple[int, int]]:
-        """(start, stop) cell ranges of the precompute's blocks."""
-        n_blocks = max(1, n_cells // cls._BLOCK)
-        edges = [b * n_cells // n_blocks for b in range(n_blocks)]
-        return list(zip(edges, edges[1:] + [n_cells]))
 
     def log_likelihoods(self, z) -> np.ndarray:
         """Flat per-cell log of the product of per-dimension densities."""
@@ -270,17 +247,15 @@ class FieldBuilder:
         return LikelihoodField.from_log(self.grid, self.log_likelihoods(z))
 
 
-def _block_sq_dists(dx2: np.ndarray, dy2: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Squared distances of cells start..stop-1 (x-major) to the training points.
+def _cell_sq_dists(dx2: np.ndarray, dy2: np.ndarray, start: int, stop: int, D: np.ndarray) -> None:
+    """Squared distances of cells start..stop-1 (x-major) to the training points, into D.
 
     One row per cell: dx2[ix] + dy2[iy], added one grid column at a time.
     """
     height = dy2.shape[0]
-    D = np.empty((stop - start, dx2.shape[1]))
     for ix in range(start // height, (stop - 1) // height + 1):
         lo, hi = max(start, ix * height), min(stop, (ix + 1) * height)
         np.add(dx2[ix], dy2[lo - ix * height : hi - ix * height], out=D[lo - start : hi - start])
-    return D
 
 
 def point_likelihood(pipeline: Pipeline, z, x_star) -> float:
@@ -424,11 +399,9 @@ def save_field_pgm(fld: LikelihoodField, path) -> None:
 
 def save_eval_csv(result: EvalResult, test_set: SurveyDataset, path) -> None:
     """One row per test point plus a trailing summary row."""
-    lines = ["index,x,y,kl,argmax_error_m\n"]
-    for i in range(test_set.n):
-        lines.append(
-            f"{i},{float(test_set.X[i, 0])!r},{float(test_set.X[i, 1])!r},"
-            f"{float(result.kl_values[i])!r},{float(result.argmax_errors_m[i])!r}\n"
-        )
-    lines.append(f"mean,,,{result.mean_kl!r},{result.mean_argmax_error_m!r}\n")
-    atomic_write_text(path, "".join(lines))
+    rows = [
+        [i, *test_set.X[i], result.kl_values[i], result.argmax_errors_m[i]]
+        for i in range(test_set.n)
+    ]
+    rows.append(["mean", None, None, result.mean_kl, result.mean_argmax_error_m])
+    write_csv(path, ["index", "x", "y", "kl", "argmax_error_m"], rows)

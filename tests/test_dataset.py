@@ -135,6 +135,27 @@ def _csv_text(draw):
     return "\n".join(",".join(cells) for cells in [header] + rows)
 
 
+class TestWriteCsv:
+    def test_equals_the_hand_built_forms(self, tmp_path, monkeypatch):
+        # The f-strings each CSV writer built by hand before write_csv:
+        # repr of the float (numpy or not), str of ints and labels, and the
+        # empty cells of eval's summary row and of a compressor without a
+        # training report.
+        x, y, kl, err = np.float64(0.1) + 0.2, np.float64(-2.5e-300), 1.0 / 3.0, np.float32(0.5)
+        rows = [[0, x, y, kl, err], ["mean", None, None, kl, err], ["input", "identity", 91, None, None, None]]
+        want = (
+            "index,x,y,kl,argmax_error_m\n"
+            f"0,{float(x)!r},{float(y)!r},{kl!r},{float(err)!r}\n"
+            f"mean,,,{kl!r},{float(err)!r}\n"
+            "input,identity,91,,,\n"
+        )
+        written = []
+        monkeypatch.setattr(dsm, "atomic_write_text", lambda path, text: written.append((path, text)))
+        path = tmp_path / "out.csv"
+        dsm.write_csv(path, ["index", "x", "y", "kl", "argmax_error_m"], rows)
+        assert written == [(path, want)]
+
+
 class TestLoadCsvFuzz:
     """Any file gives a dataset or a DataError, never another exception."""
 

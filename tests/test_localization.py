@@ -1,7 +1,12 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,7 +187,11 @@ BLOCK_HPS = {
     "l10": gp_map.GpHyperparams(signal_variance=1.0, length_scale=10.0, noise_variance=0.05),
     "l40": gp_map.GpHyperparams(signal_variance=0.5, length_scale=40.0, noise_variance=0.01),
 }
-BLOCK_SHAPES = [(100, 60), (41, 101)]
+# Grids whose cells end in a partial last chunk of gp_map._ROWS (the first
+# two), fill less than one chunk, fill three chunks exactly, and fill two
+# chunks and one cell.
+BLOCK_SHAPES = [(100, 60), (41, 101), (10, 20), (32, 24), (27, 19)]
+BLAS_THREADS = (1, 2)
 
 
 def blocked_vs_whole_mismatches(n, hp_id, shape):
@@ -198,6 +207,38 @@ def blocked_vs_whole_mismatches(n, hp_id, shape):
         "_log_norm": -0.5 * 5 * (loc.LOG_2PI + np.log(variances)),
     }
     return [name for name, table in want.items() if not np.array_equal(getattr(builder, name), table)]
+
+
+# Runs blocked_vs_whole_mismatches on every case in a fresh process, so that
+# OPENBLAS_NUM_THREADS takes effect, and prints one JSON list per case.
+MISMATCH_CHILD = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("test_localization", sys.argv[1])
+tests = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tests)
+print(json.dumps([
+    [n, hp, list(shape), tests.blocked_vs_whole_mismatches(n, hp, shape)]
+    for n in tests.BLOCK_NS for hp in tests.BLOCK_HPS for shape in tests.BLOCK_SHAPES
+]))
+"""
+
+
+@pytest.fixture(scope="module")
+def mismatches_by_threads():
+    """{threads: {(n, hp, shape): mismatching table names}} from one child per thread count."""
+    src = str(Path(loc.__file__).resolve().parents[1])
+    out = {}
+    for threads in BLAS_THREADS:
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        child = subprocess.run(
+            [sys.executable, "-c", MISMATCH_CHILD, __file__],
+            capture_output=True, text=True, env=env, timeout=600,
+        )
+        assert child.returncode == 0, child.stderr
+        cases = json.loads(child.stdout.splitlines()[-1])
+        out[threads] = {(n, hp, tuple(shape)): names for n, hp, shape, names in cases}
+    return out
 
 
 def dense_solve_predict_batch(model, X_star):
@@ -227,26 +268,35 @@ def assert_near_oracle(model, X_star, means, variances):
 
 
 class TestFieldBuilder:
+    def test_block_shapes_end_their_chunks_every_way(self):
+        rows = gp_map._ROWS
+        cells = [loc.Grid(-5.0, -5.0, 1.0, *shape).n_cells for shape in BLOCK_SHAPES]
+        for partial in cells[:2]:
+            assert partial > 2 * rows
+            assert partial % rows > 1
+        assert cells[2] < rows
+        assert cells[3] % rows == 0 and cells[3] > rows
+        assert cells[4] % rows == 1 and cells[4] > rows
+
     @pytest.mark.parametrize("n", BLOCK_NS)
     @pytest.mark.parametrize("hp", list(BLOCK_HPS))
     @pytest.mark.parametrize("shape", BLOCK_SHAPES)
-    def test_blocks_equal_one_whole_grid_prediction(self, n, hp, shape):
-        grid = loc.Grid(-5.0, -5.0, 1.0, *shape)
-        assert grid.n_cells > 2 * loc.FieldBuilder._BLOCK
-        assert grid.n_cells % loc.FieldBuilder._BLOCK != 0
-        assert blocked_vs_whole_mismatches(n, hp, shape) == []
+    def test_blocks_equal_one_whole_grid_prediction(self, n, hp, shape, mismatches_by_threads):
+        got = {threads: mismatches_by_threads[threads][(n, hp, shape)] for threads in BLAS_THREADS}
+        assert got == {threads: [] for threads in BLAS_THREADS}
 
     @pytest.mark.parametrize("length_scale", [2.0, 10.0, 40.0])
     def test_tables_and_predictions_equal_the_n_by_k_oracle(self, length_scale):
         hp = gp_map.GpHyperparams(signal_variance=0.5, length_scale=length_scale, noise_variance=0.05)
         pipe = random_pipeline(300, 10, hp)
         grid = loc.Grid(-25.0, -20.0, 1.5, 103, 61)
-        blocks = loc.FieldBuilder._blocks(grid.n_cells)
-        assert len(blocks) > 2 and all(start % grid.height for start, _ in blocks[1:])
+        starts = range(0, grid.n_cells, gp_map._ROWS)
+        assert len(starts) > 2 and all(start % grid.height for start in starts[1:])
         builder = loc.FieldBuilder(pipe, grid)
         centers = grid.cell_centers()
-        # Block by block, the same products on the same rows: bit for bit.
-        for start, stop in blocks:
+        # Chunk by chunk, the same products on the same rows: bit for bit.
+        for start in starts:
+            stop = start + gp_map._ROWS
             means, variances = gp_map.predict_batch(pipe.gp, centers[start:stop])
             assert np.array_equal(builder._means[start:stop], means)
             assert np.array_equal(builder._mean_sq[start:stop], np.sum(means * means, axis=1))
@@ -269,20 +319,21 @@ class TestFieldBuilder:
             assert np.array_equal(builder.log_likelihoods(z), want)
 
     def test_precompute_memory_is_bounded_by_the_block(self):
-        # numpy reports its buffers to tracemalloc. Beyond the per-cell tables
-        # (`tables` also counts _log_norm, built after the blocks), the
-        # dx^2 / dy^2 axis tables and the map's n x n factor, the precompute
-        # holds one n x block buffer at a time, plus the kernel floor's
-        # boolean mask (1/8 of it) while the kernel is formed: 1.097
-        # n x block arrays for the widest block.
-        # A block's means held in an array of their own while the next block
-        # is formed add d / n (1.150) and break the bound of 1.125; a second
-        # n x block array, as a kernel copied to Fortran order, breaks it by far.
+        # numpy reports its buffers to tracemalloc. Beyond the per-cell tables,
+        # the dx^2 / dy^2 axis tables and the map's n x n factor, the precompute
+        # holds one n x _ROWS buffer for all chunks. `tables` also counts
+        # _log_norm, which is built after the chunks: until then its room
+        # holds the factor's block inverses, the solve's panel and numpy's
+        # buffer for the solve's strided subtraction; the kernel floor's
+        # boolean mask takes 1/8 of a buffer. Measured at numpy 2.4: 1.105
+        # buffers over the tables.
+        # A buffer allocated per chunk holds two n x _ROWS arrays while the
+        # next is made, and _mean_sq taken over the whole means table makes
+        # a cells x d temporary: either breaks the bound of 1.125.
         n, d = 300, 16
         hp = gp_map.GpHyperparams(signal_variance=1.0, length_scale=10.0, noise_variance=0.05)
         pipe = random_pipeline(n, d, hp)
         grid = loc.Grid(0.0, 0.0, 1.0, 200, 100)
-        widest = max(stop - start for start, stop in loc.FieldBuilder._blocks(grid.n_cells))
         tables = 8 * grid.n_cells * (d + 3) + 8 * n * (grid.width + grid.height) + 8 * n * n
         tracemalloc.start()
         try:
@@ -290,7 +341,7 @@ class TestFieldBuilder:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= tables + 8 * 1.125 * n * widest
+        assert peak <= tables + 8 * 1.125 * n * gp_map._ROWS
 
 
 def meshgrid_ideal_posterior(grid, x_true, sigma):
