@@ -109,6 +109,9 @@ class EvaluationSpec:
         check_numbers(self, "evaluation.")
         for idx in self.raster_indices:
             check_number("evaluation.raster_indices", idx, integer=True)
+        repeated = sorted({idx for idx in self.raster_indices if self.raster_indices.count(idx) > 1})
+        if repeated:
+            raise ConfigError(f"evaluation.raster_indices lists {repeated} more than once")
         for name in ("cell_size", "sigma_m"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"evaluation.{name} must be > 0, got {getattr(self, name)}")

@@ -5,6 +5,13 @@ GP map fitted on the compressor's standardized output space. For a new
 measurement the per-cell likelihood is a product of per-latent-dimension
 Gaussian densities sharing the GP's scalar predictive variance; fields
 are computed in log space and normalized with log-sum-exp.
+
+`evaluate` scores a test set _POINTS measurements at a time, in log
+space: one product with the means table per block gives the block's log
+likelihoods, and each row's KL against the ideal posterior comes from its
+normalized log values and the ideal's separable x and y marginals, with
+no LikelihoodField built. Only the rows kept as rasters are built as
+fields, through FieldBuilder.field_for.
 """
 
 from __future__ import annotations
@@ -24,7 +31,10 @@ from .errors import ConfigError, DataError, LikelihoodUnderflowError, RssAtlasEr
 
 LOG_2PI = math.log(2.0 * math.pi)
 _Q_FLOOR = 1e-300
+_LOG_Q_FLOOR = math.log(_Q_FLOOR)
 _LOG_MASS_CLAMP = -746.0  # exp(-746.0) is 0.0, as exp of anything below it
+_POINTS = 8  # test points scored per block: one product with the means table each
+_UNNORMALIZABLE = "every cell's log likelihood is non-finite; field cannot be normalized"
 
 
 @dataclass(frozen=True)
@@ -111,9 +121,7 @@ class LikelihoodField:
         lv = np.asarray(log_values, dtype=float).reshape(grid.width, grid.height)
         peak = float(lv.max())
         if not math.isfinite(peak):
-            raise LikelihoodUnderflowError(
-                "every cell's log likelihood is non-finite; field cannot be normalized"
-            )
+            raise LikelihoodUnderflowError(_UNNORMALIZABLE)
         mass = lv - peak
         # exp is exactly 0.0 below about -745.13 either way; the clamp keeps
         # very negative arguments off exp's slow path.
@@ -228,20 +236,28 @@ class FieldBuilder:
             np.sum(means * means, axis=1, out=self._mean_sq[start : start + gp_map._ROWS])
         self._log_norm = -0.5 * gp.output_dim * (LOG_2PI + np.log(self._variances))
 
-    def log_likelihoods(self, z) -> np.ndarray:
-        """Flat per-cell log of the product of per-dimension densities."""
-        f = self.pipeline.encode(np.asarray(z, dtype=float))
-        # |m - f|^2 expanded so the per-measurement work is one matvec; then
-        # log_norm - 0.5 * |m - f|^2 / variance, all in the matvec's buffer.
-        out = self._means @ f
+    def log_likelihoods(self, Z) -> np.ndarray:
+        """Per-cell log of the product of per-dimension densities.
+
+        A k x m block of measurements gives k x cells, one measurement
+        (m,) gives cells. A one-row product equals the matrix-vector
+        product bit for bit, so a single measurement's values do not
+        depend on which form it came in.
+        """
+        F = self.pipeline.encode(np.asarray(Z, dtype=float))
+        rows = np.atleast_2d(F)
+        # |m - f|^2 expanded so a block's work is one product with the means
+        # table; then log_norm - 0.5 * |m - f|^2 / variance, all in the
+        # product's buffer. Each row's f.f is its own dot product.
+        out = rows @ self._means.T
         out *= 2.0
         np.subtract(self._mean_sq, out, out=out)
-        out += float(f @ f)
+        out += (rows[:, None, :] @ rows[:, :, None])[:, 0]
         np.maximum(out, 0.0, out=out)
         out *= 0.5
         out /= self._variances
         np.subtract(self._log_norm, out, out=out)
-        return out
+        return out if F.ndim == 2 else out[0]
 
     def field_for(self, z) -> LikelihoodField:
         return LikelihoodField.from_log(self.grid, self.log_likelihoods(z))
@@ -326,13 +342,19 @@ def evaluate(
 ) -> list[EvalResult]:
     """Score every pipeline on every test measurement.
 
-    For each test row: build the likelihood field, score it by
-    KL(ideal || field) against the ideal posterior at the true location,
-    and record the distance from the field's argmax cell to the truth.
-    The fields of the rows named in raster_indices are kept in each
-    result's `rasters`. A package error while scoring a pipeline is
-    re-raised as the same class, its message prefixed with the pipeline's
-    label and, for a test row, the row index.
+    Each test row is scored by KL(ideal || field) against the ideal
+    posterior at its true location, and by the distance from the field's
+    argmax cell to the truth. The rows are scored _POINTS at a time, in
+    log space, from one FieldBuilder.log_likelihoods block: per row,
+    log q = lv - peak - log sum exp(lv - peak), floored at log 1e-300 as
+    kl_divergence floors q. The ideal is computed once per test row for
+    all pipelines, as its normalized x and y marginals p_x and p_y, so
+    KL = sum p log p - p_x^T (log Q) p_y and no field is built to score a
+    row. The rows named in raster_indices are built as fields through
+    FieldBuilder.field_for, as a query is, and kept in each result's
+    `rasters`. A package error while scoring a pipeline is re-raised as
+    the same class, its message prefixed with the pipeline's label and,
+    for a test row, the row index.
 
     `pipelines` is any iterable and is consumed one pipeline at a time:
     a pipeline and its FieldBuilder are released before the next one is
@@ -342,14 +364,15 @@ def evaluate(
     if not test_set.normalized:
         raise DataError("test set must be normalized with the training statistics")
 
-    keep = set(raster_indices)
+    ideal = _ideal_marginals(grid, test_set.X, sigma)
+    keep = sorted(set(raster_indices))
     results = []
-    # An overflowing field still raises LikelihoodUnderflowError in
-    # from_log; numpy's overflow warning would only print before it.
+    # An overflowing row still raises LikelihoodUnderflowError at its
+    # non-finite peak; numpy's overflow warning would only print before it.
     with np.errstate(over="ignore", invalid="ignore"):
         for pipeline in pipelines:
             try:
-                results.append(_score_pipeline(pipeline, test_set, grid, sigma, keep))
+                results.append(_score_pipeline(pipeline, test_set, grid, ideal, keep))
             except RssAtlasError as exc:
                 raise type(exc)(f"pipeline {pipeline.label}: {exc}") from exc
             # Freed before the next pipeline is requested.
@@ -357,29 +380,81 @@ def evaluate(
     return results
 
 
+def _ideal_marginals(grid: Grid, X: np.ndarray, sigma: float):
+    """ideal_posterior of every row of X in separable form: (p_x, p_y, sum p log p).
+
+    The ideal's mass is the outer product of its normalized marginals,
+    p_x (n x width) and p_y (n x height), so per row
+    sum p log p = sum p_x log p_x + sum p_y log p_y, zero cells skipped.
+    """
+    if sigma <= 0:
+        raise ConfigError("sigma must be positive")
+    marginals, p_log_p = [], np.zeros(len(X))
+    for centers, coords in zip(grid.axis_centers(), np.asarray(X, dtype=float).T):
+        mass = centers[None, :] - coords[:, None]
+        mass *= mass
+        mass /= -2.0 * sigma * sigma
+        mass -= mass.max(axis=1, keepdims=True)
+        np.exp(mass, out=mass)
+        mass /= mass.sum(axis=1, keepdims=True)
+        p_log_p += np.sum(mass * np.log(np.where(mass > 0.0, mass, 1.0)), axis=1)
+        marginals.append(mass)
+    return marginals[0], marginals[1], p_log_p
+
+
 def _score_pipeline(
-    pipeline: Pipeline, test_set: SurveyDataset, grid: Grid, sigma: float, keep: set[int]
+    pipeline: Pipeline, test_set: SurveyDataset, grid: Grid, ideal, keep: list[int]
 ) -> EvalResult:
     """One pipeline's EvalResult; its FieldBuilder is freed on return."""
     builder = FieldBuilder(pipeline, grid)
-    kl_values, errors, rasters = [], [], {}
-    for i in range(test_set.n):
-        try:
-            fld = builder.field_for(test_set.Z[i])
-            ideal = ideal_posterior(grid, test_set.X[i], sigma)
-        except RssAtlasError as exc:
-            raise type(exc)(f"test point {i}: {exc}") from exc
-        kl_values.append(kl_divergence(ideal, fld))
-        ax, ay = fld.argmax_center()
+    px, py, p_log_p = ideal
+    cross = np.empty(test_set.n)
+    cells = np.empty(test_set.n, dtype=np.intp)
+    for start in range(0, test_set.n, _POINTS):
+        rows = slice(start, start + _POINTS)
+        cross[rows], cells[rows] = _score_block(builder, start, test_set.Z[rows], px[rows], py[rows])
+    errors = []
+    for i, cell in enumerate(cells):
+        ax, ay = grid.cell_center(*divmod(int(cell), grid.height))
         errors.append(math.hypot(ax - test_set.X[i, 0], ay - test_set.X[i, 1]))
-        if i in keep:
-            rasters[i] = fld
     return EvalResult(
         label=pipeline.label,
-        kl_values=np.array(kl_values),
+        kl_values=p_log_p - cross,
         argmax_errors_m=np.array(errors),
-        rasters=rasters,
+        rasters={i: builder.field_for(test_set.Z[i]) for i in keep},
     )
+
+
+def _score_block(
+    builder: FieldBuilder, start: int, Z: np.ndarray, px: np.ndarray, py: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """p_x^T (log Q) p_y and the argmax cell of each row of Z (test points start, ...).
+
+    Holds the block's log values, turned into log q in place, and one row
+    of unnormalized mass.
+    """
+    try:
+        lv = builder.log_likelihoods(Z)
+    except RssAtlasError as exc:
+        raise type(exc)(f"test point {start}: {exc}") from exc
+    peak = lv.max(axis=1)
+    bad = np.flatnonzero(~np.isfinite(peak))
+    if bad.size:
+        raise LikelihoodUnderflowError(f"test point {start + int(bad[0])}: {_UNNORMALIZABLE}")
+    lv -= peak[:, None]
+    cells = np.empty(len(lv), dtype=np.intp)
+    mass = np.empty(lv.shape[1])
+    for r, row in enumerate(lv):
+        # from_log's clamped exp: its sum is the normalizer, its largest
+        # cell the field's argmax.
+        np.maximum(row, _LOG_MASS_CLAMP, out=mass)
+        np.exp(mass, out=mass)
+        cells[r] = mass.argmax()
+        row -= np.log(mass.sum())
+    np.maximum(lv, _LOG_Q_FLOOR, out=lv)
+    log_q = lv.reshape(-1, builder.grid.width, builder.grid.height)
+    cross = (px[:, None, :] @ (log_q @ py[:, :, None]))[:, 0, 0]
+    return cross, cells
 
 
 def save_field_pgm(fld: LikelihoodField, path) -> None:

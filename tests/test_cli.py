@@ -509,6 +509,10 @@ FAILURES = {
         _set("evaluation", "raster_indices", value=[1.5], command="evaluate"), 1,
         "evaluation.raster_indices must be an integer",
     ),
+    "repeated_raster_index": (
+        _set("evaluation", "raster_indices", value=[3, 0, 3, 1, 0], command="evaluate"), 1,
+        "evaluation.raster_indices lists [0, 3] more than once",
+    ),
     "unknown_top_level_key": (_set("sede", value=3), 1, "unknown top-level fields: ['sede']"),
     "unknown_dataset_key": (_set("dataset", "cvs", value="x.csv"), 1, "unknown dataset fields: ['cvs']"),
     "unknown_split_key": (

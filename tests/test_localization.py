@@ -344,6 +344,143 @@ class TestFieldBuilder:
         assert peak <= tables + 8 * 1.125 * n * gp_map._ROWS
 
 
+def scoring_case(n_test, seed=0, d=5, noise=0.3):
+    """A random identity pipeline, a small grid and a normalized test set of
+    n_test rows whose readings are the map's means at the true locations
+    plus noise of the given scale. Row 0 lies on a cell corner, row 1 on a
+    vertical cell edge and row 2 outside the grid."""
+    hp = gp_map.GpHyperparams(signal_variance=1.0, length_scale=10.0, noise_variance=0.05)
+    pipe = random_pipeline(60, d, hp, seed=seed)
+    grid = loc.Grid(-5.0, -4.0, 2.0, 51, 29)
+    rng = np.random.default_rng(seed + 100)
+    X = rng.uniform([0.0, 0.0], [90.0, 50.0], size=(n_test, 2))
+    X[:3] = [
+        [grid.origin_x + 17 * grid.cell_size, grid.origin_y + 9 * grid.cell_size],
+        [grid.origin_x + 30 * grid.cell_size, 21.3],
+        [120.0, -30.0],
+    ][:n_test]
+    means, _ = gp_map.predict_batch(pipe.gp, X)
+    Z = means + rng.normal(scale=noise, size=means.shape)
+    test_set = dsm.SurveyDataset(X=X, Z=Z, ap_ids=[f"ap{j}" for j in range(d)], normalized=True)
+    return pipe, grid, test_set
+
+
+def field_scores(pipe, grid, test_set, sigma):
+    """Per-point KL and argmax error from field_for, ideal_posterior and kl_divergence."""
+    builder = loc.FieldBuilder(pipe, grid)
+    kls, errors = [], []
+    for x, z in zip(test_set.X, test_set.Z):
+        fld = builder.field_for(z)
+        kls.append(loc.kl_divergence(loc.ideal_posterior(grid, x, sigma), fld))
+        ax, ay = fld.argmax_center()
+        errors.append(math.hypot(ax - x[0], ay - x[1]))
+    return np.array(kls), np.array(errors)
+
+
+SCORING_SIZES = [1, loc._POINTS - 1, loc._POINTS, loc._POINTS + 1, 2 * loc._POINTS + 1]
+
+
+class TestBlockScoring:
+    @pytest.mark.parametrize("n_test", SCORING_SIZES)
+    @pytest.mark.parametrize("sigma", [1.5, 10.0])
+    def test_equals_the_field_oracle(self, n_test, sigma):
+        pipe, grid, test_set = scoring_case(n_test)
+        want_kl, want_errors = field_scores(pipe, grid, test_set, sigma)
+        got = loc.evaluate([pipe], test_set, grid, sigma)[0]
+        assert got.kl_values.shape == (n_test,)
+        assert np.min(want_kl) > 0.1
+        np.testing.assert_allclose(got.kl_values, want_kl, rtol=1e-12, atol=0.0)
+        assert np.array_equal(got.argmax_errors_m, want_errors)
+
+    def test_cells_below_the_q_floor_score_as_kl_divergence_floors_them(self):
+        # Noisy readings make sharp fields: every row has cells whose q is
+        # below 1e-300 (at least 2% of the grid), where the ideal still has mass.
+        pipe, grid, test_set = scoring_case(loc._POINTS + 3, noise=10.0)
+        builder = loc.FieldBuilder(pipe, grid)
+        floored = [np.mean(builder.field_for(z).mass < loc._Q_FLOOR) for z in test_set.Z]
+        assert min(floored) > 0.01
+        want_kl, want_errors = field_scores(pipe, grid, test_set, 10.0)
+        got = loc.evaluate([pipe], test_set, grid, 10.0)[0]
+        np.testing.assert_allclose(got.kl_values, want_kl, rtol=1e-12, atol=0.0)
+        assert np.array_equal(got.argmax_errors_m, want_errors)
+
+    def test_boundary_and_off_grid_rows_are_what_they_claim(self):
+        _, grid, test_set = scoring_case(3)
+        (x0, y0), (x1, y1), (x2, y2) = test_set.X
+        assert ((x0 - grid.origin_x) / grid.cell_size, (y0 - grid.origin_y) / grid.cell_size) == (17, 9)
+        assert (x1 - grid.origin_x) / grid.cell_size == 30
+        assert x2 > grid.origin_x + grid.width * grid.cell_size and y2 < grid.origin_y
+
+    def test_single_rows_keep_the_matrix_vector_bits(self):
+        # field_for, a one-row block and a plain measurement give the same
+        # log values; a row inside a block agrees to rounding.
+        pipe, grid, test_set = scoring_case(loc._POINTS + 1)
+        builder = loc.FieldBuilder(pipe, grid)
+        block = builder.log_likelihoods(test_set.Z)
+        assert block.shape == (test_set.n, grid.n_cells)
+        for i, z in enumerate(test_set.Z):
+            one = builder.log_likelihoods(z)
+            assert np.array_equal(builder.log_likelihoods(test_set.Z[i : i + 1]), one[None, :])
+            np.testing.assert_allclose(block[i], one, rtol=1e-13)
+
+    @pytest.mark.parametrize("bad", [[5], [11, 13], [16]])
+    def test_a_non_finite_row_is_named_by_its_own_index(self, bad):
+        # latent_std 1e-300 sends every nonzero reading's |f|^2 to inf, so
+        # only the zero rows have a finite peak.
+        pipe, grid, test_set = scoring_case(2 * loc._POINTS + 1)
+        pipe = replace(pipe, latent_std=np.full(pipe.gp.output_dim, 1e-300))
+        Z = np.zeros_like(test_set.Z)
+        Z[bad] = 1.0
+        test_set = replace(test_set, Z=Z)
+        with pytest.raises(
+            loc.LikelihoodUnderflowError,
+            match=f"^pipeline rand: test point {bad[0]}: every cell's log likelihood is non-finite",
+        ):
+            loc.evaluate([pipe], test_set, grid, sigma=10.0)
+
+    def test_evaluate_makes_one_product_per_block_and_raster(self, monkeypatch):
+        # A per-point loop would call log_likelihoods once per test row.
+        pipe, grid, test_set = scoring_case(2 * loc._POINTS + 1)
+        rows = []
+        log_likelihoods = loc.FieldBuilder.log_likelihoods
+
+        def counting(self, Z):
+            rows.append(np.shape(Z))
+            return log_likelihoods(self, Z)
+
+        monkeypatch.setattr(loc.FieldBuilder, "log_likelihoods", counting)
+        rasters = (9, 0)
+        loc.evaluate([pipe, replace(pipe, label="again")], test_set, grid, 10.0, rasters)
+        blocks = -(-test_set.n // loc._POINTS)
+        assert len(rows) == 2 * (blocks + len(rasters))
+        d = test_set.m
+        per_pipeline = [(loc._POINTS, d), (loc._POINTS, d), (1, d), (d,), (d,)]
+        assert rows == 2 * per_pipeline
+
+    def test_scoring_memory_is_one_block_and_the_marginals(self, monkeypatch):
+        # numpy reports its buffers to tracemalloc. Beyond the builder's
+        # tables, scoring holds a block's log values, one row of its exp, the
+        # block's (log Q) p_y products and the ideal's x and y marginals of
+        # every test row; the rest is per-row scalars and Python's own
+        # objects (measured at numpy 2.4: 4.6 KB). A product that copied
+        # the means table (d = 20 columns, 3.8 MB), an exp of the whole block
+        # or one block of the whole test set breaks the bound.
+        n, d = 40, 20
+        pipe, _, test_set = scoring_case(n, d=d)
+        grid = loc.Grid(-5.0, -5.0, 0.5, 200, 120)
+        builder = loc.FieldBuilder(pipe, grid)
+        monkeypatch.setattr(loc, "FieldBuilder", lambda pipeline, grid: builder)
+        block = (loc._POINTS + 1) * grid.n_cells + loc._POINTS * grid.width
+        budget = 8 * (block + n * (grid.width + grid.height))
+        tracemalloc.start()
+        try:
+            loc.evaluate([pipe], test_set, grid, sigma=10.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget + 16 * 1024, (peak, budget)
+
+
 def meshgrid_ideal_posterior(grid, x_true, sigma):
     """ideal_posterior as a distance from every row of cell_centers()."""
     d = grid.cell_centers() - np.asarray(x_true, dtype=float)
