@@ -35,7 +35,7 @@ from .localization import (
 )
 
 # The one format version of a pipeline file; it decides how every part is read.
-PIPELINE_FORMAT_VERSION = 2
+PIPELINE_FORMAT_VERSION = 3
 
 # Seed offsets so each stage draws from its own stream; each autoencoder
 # kind trains from the experiment seed plus its own offset.

@@ -3,15 +3,17 @@
 One isotropic RBF kernel and one noise level are shared by all output
 dimensions, so a fitted map predicts a d-vector mean and a single scalar
 variance per query point. A map is its stored data: training locations,
-hyperparameters and weights. The Cholesky factor that the variance needs
-is made from them by `cholesky_factor` where a prediction needs it
-(GPML Algorithm 2.1); the Gram matrix's inverse is never formed.
+hyperparameters and the n x d targets Y. A prediction makes the Gram
+matrix's Cholesky factor L and V = L^-1 Y from them, and with S = L^-1 k*
+the mean is S^T V and the variance the prior minus |S|^2 (GPML
+Algorithm 2.1); neither the Gram matrix's inverse nor a back-substitution
+is ever formed.
 
 Unit-kernel entries exp(-d/l^2) below _KERNEL_FLOOR = 1e-100, i.e. at
 distances beyond 15.2 l, are stored as exact zeros. Each is about 84
 orders of magnitude below double epsilon: on every survey tested no
-weight, evidence, mean or variance changes by a bit, only the Cholesky
-factor's tiny fill-in does.
+evidence, mean or variance changes by a bit, only the Cholesky factor's
+tiny fill-in does.
 Left in, such entries make the factorization and the triangular solves
 multiply numbers near the underflow threshold, which on the Xeon it was
 measured on takes a slow microcode path per multiply: at l = 2 m the grid
@@ -21,8 +23,8 @@ The exponent is clamped at _EXP_CLAMP = -240 before exp, whose result there
 exp off arguments far below -745, where it is several times slower.
 rbf_kernel, the scalar oracle, keeps the untruncated formula.
 
-Every triangular solve is one blocked substitution, `_solve_rows`, built
-on numpy's own matrix product: the factor's diagonal blocks of
+Every triangular solve is one blocked forward substitution, `_solve_rows`,
+built on numpy's own matrix product: the factor's diagonal blocks of
 _SOLVE_BLOCK columns are inverted once per factor (`block_inverses`), and
 each block of the solution is one product into a preallocated panel and
 one product by that block's inverse. The right-hand sides are the rows of
@@ -73,19 +75,18 @@ class GpHyperparams:
 
 @dataclass(frozen=True)
 class GpModel:
-    """Fitted map: training inputs, hyperparameters, weights.
+    """Fitted map: training locations, hyperparameters and the n x d targets Y.
 
-    W solves (K + sn2*I) W = Y, so the predictive mean at x* is k*^T W.
-    The variance needs the factor of K + sn2*I, which `cholesky_factor`
-    makes from the other two fields.
+    Nothing solved is stored: `predict_rows` makes the factor of
+    K + sn2*I (`cholesky_factor`) and L^-1 Y from these fields.
     """
 
     X_train: np.ndarray
     hyperparams: GpHyperparams
-    W: np.ndarray
+    Y: np.ndarray
 
     def __post_init__(self):
-        _check_rows(self.X_train, self.W, "W")
+        _check_rows(self.X_train, self.Y, "Y")
 
     @property
     def n(self) -> int:
@@ -93,7 +94,7 @@ class GpModel:
 
     @property
     def output_dim(self) -> int:
-        return self.W.shape[1]
+        return self.Y.shape[1]
 
 
 def rbf_kernel(x_p, x_q, hp: GpHyperparams) -> float:
@@ -168,8 +169,8 @@ def _cholesky_with_jitter(K: np.ndarray, hp: GpHyperparams) -> np.ndarray:
 
     The retry adds the jitter to K's diagonal in place (K is overwritten),
     which rounds exactly as K + jitter * I does without two more n x n arrays.
-    Every factor is made here, with np.linalg.cholesky, so the search, `fit`
-    and the grid precompute solve with the same bits of the same factor.
+    Every factor is made here, with np.linalg.cholesky, so the search and
+    every prediction solve with the same bits of the same factor.
     """
     try:
         return np.linalg.cholesky(K)
@@ -187,19 +188,22 @@ def _cholesky_with_jitter(K: np.ndarray, hp: GpHyperparams) -> np.ndarray:
 
 
 def _check_rows(X: np.ndarray, Y: np.ndarray, name: str) -> None:
-    """X is n x 2 and Y (called `name`) is n x d; anything else is a DataError."""
+    """X is finite n x 2 and Y (called `name`) finite n x d; anything else is a DataError."""
     if X.ndim != 2 or X.shape[1] != 2:
         raise DataError(f"X must be n x 2, got {X.shape}")
     if Y.ndim != 2 or Y.shape[0] != X.shape[0]:
         raise DataError(f"X has {X.shape[0]} rows but {name} has shape {Y.shape}")
+    for array, label in ((X, "X"), (Y, name)):
+        if not np.isfinite(array).all():
+            raise DataError(f"{label} has a non-finite entry")
 
 
-def _targets(X: np.ndarray, Y) -> np.ndarray:
+def _targets(X: np.ndarray, Y, name: str = "Y") -> np.ndarray:
     """Y as an n x d float array for the n x 2 locations X (see _check_rows)."""
     Y = np.asarray(Y, dtype=float)
     if Y.ndim == 1:
         Y = Y[:, None]
-    _check_rows(X, Y, "Y")
+    _check_rows(X, Y, name)
     return Y
 
 
@@ -228,52 +232,33 @@ def block_inverses(L: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _solve_rows(L: np.ndarray, inverses: np.ndarray, B: np.ndarray, transpose: bool = False) -> None:
-    """Solve L x = b (L^T x = b with `transpose`) for every row b of B, in place.
+def _solve_rows(L: np.ndarray, inverses: np.ndarray, B: np.ndarray) -> None:
+    """Solve L x = b for every row b of B, in place.
 
     B is a C-order k x n array and `inverses` is `block_inverses(L)`. Block
-    J of every row is solved as (b_J - the solved blocks times L's part)
-    times the inverse of L's block J; the blocks run from the first, or
-    from the last with `transpose`. Each is two matrix products over all
-    k rows: the first into one k x _SOLVE_BLOCK panel, the second straight
-    into B's columns. A row is only ever combined with itself, so a NaN
-    row leaves every other row as it is.
+    J of every row, from the first, is solved as (b_J - the solved blocks
+    times L's part) times the inverse of L's block J. Each is two matrix
+    products over all k rows: the first into one k x _SOLVE_BLOCK panel,
+    the second straight into B's columns. A row is only ever combined with
+    itself, so a NaN row leaves every other row as it is.
     """
     k, n, b = B.shape[0], L.shape[0], _SOLVE_BLOCK
     panel = np.empty(k * min(b, n))
-    blocks = list(enumerate(range(0, n, b)))
-    for j, s in reversed(blocks) if transpose else blocks:
+    for j, s in enumerate(range(0, n, b)):
         e = min(s + b, n)
         # C order for a narrow last block too: numpy buffers a strided
         # output of the subtraction, at 3x the strided input's buffer.
         p = panel[: k * (e - s)].reshape(k, e - s)
-        inv = inverses[j, : e - s, : e - s]
-        if transpose:
-            np.matmul(B[:, e:], L[e:, s:e], out=p)  # zeros for the last block
-        else:
-            np.matmul(B[:, :s], L[s:e, :s].T, out=p)  # zeros for the first block
-            inv = inv.T
+        np.matmul(B[:, :s], L[s:e, :s].T, out=p)  # zeros for the first block
         np.subtract(B[:, s:e], p, out=p)
-        np.matmul(p, inv, out=B[:, s:e])
+        np.matmul(p, inverses[j, : e - s, : e - s].T, out=B[:, s:e])
 
 
 def _whiten(L: np.ndarray, inverses: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """V = L^-1 Y for n x d targets Y, returned transposed: d x n, C order."""
+    """V = L^-1 Y for n x d targets Y, returned as its d x n C-order rows."""
     V = np.array(Y.T, order="C")
     _solve_rows(L, inverses, V)
     return V
-
-
-def _weights_from(L: np.ndarray, inverses: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """W = L^-T V from `_whiten`'s d x n V, which is overwritten; W is n x d, C order."""
-    _solve_rows(L, inverses, V, transpose=True)
-    return np.ascontiguousarray(V.T)
-
-
-def _weights(L: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """W solving (L L^T) W = Y by a forward and a back substitution."""
-    inverses = block_inverses(L)
-    return _weights_from(L, inverses, _whiten(L, inverses, Y))
 
 
 def _evidence(V: np.ndarray, L: np.ndarray) -> float:
@@ -288,19 +273,21 @@ def _evidence(V: np.ndarray, L: np.ndarray) -> float:
 
 
 def fit(X: np.ndarray, Y: np.ndarray, hp: GpHyperparams) -> GpModel:
-    """Fit the map by factoring the Gram matrix and solving for W.
+    """The map of targets Y at locations X under hp, checked by the model.
 
-    A single retry with jitter 1e-8 * signal_variance is attempted when
-    the plain factorization fails.
+    Nothing is factored here: a Gram matrix that cannot be factored fails
+    where the map first predicts.
     """
     X = np.asarray(X, dtype=float)
-    Y = _targets(X, Y)
-    L = _cholesky_with_jitter(gram_matrix(X, hp), hp)
-    return GpModel(X_train=X, hyperparams=hp, W=_weights(L, Y))
+    return GpModel(X_train=X, hyperparams=hp, Y=_targets(X, Y))
 
 
 def cholesky_factor(model: GpModel) -> np.ndarray:
-    """Lower Cholesky factor of the map's Gram matrix, made as `fit` makes it."""
+    """Lower Cholesky factor of the map's Gram matrix, made as the search makes it.
+
+    A single retry with jitter 1e-8 * signal_variance is attempted when
+    the plain factorization fails; a second failure is a GpFitError.
+    """
     hp = model.hyperparams
     return _cholesky_with_jitter(gram_matrix(model.X_train, hp), hp)
 
@@ -328,17 +315,19 @@ def predict_batch(model: GpModel, X_star: np.ndarray) -> tuple[np.ndarray, np.nd
 def predict_rows(model: GpModel, k: int, sq_dists, means: np.ndarray) -> np.ndarray:
     """Predict k query points _ROWS at a time; return their k variances.
 
-    `sq_dists(start, stop, D)` writes the squared distances of query points
-    start..stop-1 to the training locations into the C-order (stop - start)
-    x n buffer D. D becomes the cross-kernel, the means of those points go
-    into `means[start:stop]` (a C-order k x d table) by one matrix product,
-    and the solve runs in place on D. The map's factor and block inverses
-    are made first and dropped on return. A variance that rounding drives
-    below 1e-12 is clamped there.
+    The map's factor L, its block inverses and V = L^-1 Y are made first
+    and dropped on return. `sq_dists(start, stop, D)` writes the squared
+    distances of query points start..stop-1 to the training locations into
+    the C-order (stop - start) x n buffer D. D becomes the cross-kernel,
+    and the forward solve in place turns each row k* into S = L^-1 k*. The
+    means S^T V go into `means[start:stop]` (a C-order k x d table) by one
+    matrix product, and the variances are the prior minus |S|^2, clamped
+    at 1e-12 where rounding drives them lower.
     """
     hp = model.hyperparams
     L = cholesky_factor(model)
     inverses = block_inverses(L)
+    V = _whiten(L, inverses, model.Y)
     prior = hp.signal_variance + hp.noise_variance
     variances = np.empty(k)
     buffer = np.empty((min(k, _ROWS), model.n))
@@ -348,10 +337,10 @@ def predict_rows(model: GpModel, k: int, sq_dists, means: np.ndarray) -> np.ndar
         sq_dists(start, stop, Kt)
         _exp_kernel(Kt, hp.length_scale)
         Kt *= hp.signal_variance
-        np.matmul(Kt, model.W, out=means[start:stop])
         # No finiteness scan: the factor is finite, and a NaN query location
         # only makes its own row NaN, which the solve carries through.
         _solve_rows(L, inverses, Kt)
+        np.matmul(Kt, V.T, out=means[start:stop])
         Kt *= Kt
         v = np.sum(Kt, axis=1, out=variances[start:stop])
         np.subtract(prior, v, out=v)
@@ -374,19 +363,17 @@ def fit_by_evidence(X: np.ndarray, Ys: list, grid: list[GpHyperparams]) -> list[
     is built and factored once for all of them, into one n x n buffer
     reused across candidates, and the unit kernel exp(-d/l^2) is rebuilt
     only when the length scale differs from the previous candidate's.
-    A target's evidence needs only the forward solve (`_evidence`); its
-    weights are solved back only when the candidate beats its best so far.
-    Each target keeps only its best candidate's evidence, hyperparameters
-    and weights, never a factor, and the maps equal `fit` at the candidate
-    that maximizes `log_marginal_likelihood`, bit for bit. Non-PD
+    A target's evidence needs only the forward solve (`_evidence`), and
+    each target keeps only its best candidate's evidence and
+    hyperparameters: its map is (X, that candidate, its targets). Non-PD
     candidates are skipped; exact ties go to the smaller length_scale,
     then to the earlier grid position.
     """
     if not grid:
         raise ConfigError("hyperparameter grid is empty")
     X = np.asarray(X, dtype=float)
-    Ys = [_targets(X, Y) for Y in Ys]
-    # Per target: (evidence, hyperparams, weights) of the best candidate so far.
+    Ys = [_targets(X, Y, f"target {t}") for t, Y in enumerate(Ys)]
+    # Per target: (evidence, hyperparams) of the best candidate so far.
     best: list[tuple | None] = [None] * len(Ys)
     unit, unit_scale, G = None, None, None
     for hp in grid:
@@ -400,15 +387,14 @@ def fit_by_evidence(X: np.ndarray, Ys: list, grid: list[GpHyperparams]) -> list[
             continue
         inverses = block_inverses(L)
         for t, Y in enumerate(Ys):
-            V = _whiten(L, inverses, Y)
-            ev = _evidence(V, L)
+            ev = _evidence(_whiten(L, inverses, Y), L)
             b = best[t]
             if b is None or ev > b[0] or (ev == b[0] and hp.length_scale < b[1].length_scale):
-                best[t] = (ev, hp, _weights_from(L, inverses, V))
+                best[t] = (ev, hp)
         L = None  # freed before the next candidate is factored
     if any(b is None for b in best):
         raise GpFitError("every hyperparameter candidate produced a non-PD Gram matrix")
-    return [GpModel(X_train=X, hyperparams=hp, W=W) for _, hp, W in best]
+    return [GpModel(X_train=X, hyperparams=hp, Y=Y) for (_, hp), Y in zip(best, Ys)]
 
 
 def select_hyperparams(
@@ -422,11 +408,11 @@ def model_to_dict(model: GpModel) -> dict:
     return {
         "hyperparams": asdict(model.hyperparams),
         "X_train": model.X_train.tolist(),
-        "W": model.W.tolist(),
+        "Y": model.Y.tolist(),
     }
 
 
 def model_from_dict(doc: dict) -> GpModel:
-    """Rebuild a map from model_to_dict output; the constructor checks the shapes."""
+    """Rebuild a map from model_to_dict output; the constructor checks the arrays."""
     hp = GpHyperparams(**doc["hyperparams"])
-    return GpModel(np.array(doc["X_train"], dtype=float), hp, np.array(doc["W"], dtype=float))
+    return GpModel(np.array(doc["X_train"], dtype=float), hp, np.array(doc["Y"], dtype=float))

@@ -313,6 +313,12 @@ def _edit_pipeline(label, edit):
     return setup
 
 
+def _format_2(pipe):
+    """A pipeline document as format 2 wrote it: the GP's solved weights W in place of its targets Y."""
+    pipe["format_version"] = 2
+    pipe["gp"]["W"] = pipe["gp"].pop("Y")
+
+
 def _overflowing_number(label, edit):
     """_edit_pipeline where `edit` puts the string "1e400" in place of a number,
     which the file then holds as the bare number 1e400 (a double's range ends
@@ -545,14 +551,18 @@ FAILURES = {
     "corrupt_pipeline_json": (_corrupt_pipeline_json, 2, "pipeline_input.json"),
     "v1_pipeline": (
         _edit_pipeline("input", lambda p: p.update(format_version=1)), 2,
-        "pipeline_input.json: unsupported pipeline format_version 1 (expected 2; rerun train",
+        "pipeline_input.json: unsupported pipeline format_version 1 (expected 3; rerun train",
     ),
     "v1_autoencoder_pipeline": (
         _autoencoder_pipeline(1, distance_mode="squared"), 2,
-        "pipeline_input.json: unsupported pipeline format_version 1 (expected 2; rerun train",
+        "pipeline_input.json: unsupported pipeline format_version 1 (expected 3; rerun train",
     ),
-    "gp_w_row_short": (
-        _edit_pipeline("input", lambda p: p["gp"]["W"].pop()), 2, "pipeline_input.json: X has"
+    "v2_pipeline": (
+        _edit_pipeline("input", _format_2), 2,
+        "pipeline_input.json: unsupported pipeline format_version 2 (expected 3; rerun train",
+    ),
+    "gp_y_row_short": (
+        _edit_pipeline("input", lambda p: p["gp"]["Y"].pop()), 2, "pipeline_input.json: X has"
     ),
     "gp_x_one_coordinate": (
         _edit_pipeline("input", lambda p: p["gp"].update(X_train=[x[:1] for x in p["gp"]["X_train"]])),

@@ -206,7 +206,9 @@ class TestPipelineSerialization:
         # Stored values are bit-exact; encode may differ by an ulp because
         # reloaded arrays can take a different BLAS path.
         np.testing.assert_allclose(back.encode(z), pipe.encode(z), rtol=1e-12, atol=1e-14)
-        assert np.array_equal(back.gp.W, pipe.gp.W)
+        assert np.array_equal(back.gp.Y, pipe.gp.Y)
+        assert np.array_equal(back.gp.X_train, pipe.gp.X_train)
+        assert back.gp.hyperparams == pipe.gp.hyperparams
         assert np.array_equal(back.latent_mean, pipe.latent_mean)
         assert np.array_equal(back.latent_std, pipe.latent_std)
 
@@ -218,8 +220,9 @@ class TestPipelineSerialization:
     def test_one_format_version(self, kind, pipeline_docs):
         """The pipeline document carries the file's only format version."""
         doc = pipeline_docs[kind]
-        assert doc["format_version"] == ex.PIPELINE_FORMAT_VERSION == 2
+        assert doc["format_version"] == ex.PIPELINE_FORMAT_VERSION == 3
         assert json.dumps(doc).count("format_version") == 1
+        assert set(doc["gp"]) == {"hyperparams", "X_train", "Y"}
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_earlier_format_rejected(self, kind, pipeline_docs):
@@ -229,7 +232,7 @@ class TestPipelineSerialization:
         doc["gp"]["format_version"] = 1
         if kind != "identity":
             doc["compressor"]["model"]["format_version"] = 1
-        with pytest.raises(DataError, match=r"format_version 1 \(expected 2; rerun train"):
+        with pytest.raises(DataError, match=r"format_version 1 \(expected 3; rerun train"):
             ex.pipeline_from_dict(doc)
 
 

@@ -182,7 +182,7 @@ class TestKernelFloor:
         )
         for got, want in zip(pipes, pipes_exact):
             assert got.gp.hyperparams == want.gp.hyperparams
-            assert np.array_equal(got.gp.W, want.gp.W)
+            assert np.array_equal(got.gp.Y, want.gp.Y)
         assert evidences == evidences_exact
         assert np.array_equal(means, means_exact)
         assert np.array_equal(variances, variances_exact)
@@ -218,20 +218,41 @@ class TestGramMatrix:
         assert np.linalg.eigvalsh(K).min() > 0
 
 
+def dense_solve_oracle(model, X_star, jitter=0.0):
+    """predict_batch from LAPACK's general solve with the Gram matrix (plus
+    `jitter` on its diagonal): an oracle that shares no solve with it."""
+    hp = model.hyperparams
+    G = gp_map.gram_matrix(model.X_train, hp) + jitter * np.eye(model.n)
+    k_star = gp_map.kernel_matrix(model.X_train, X_star, hp)
+    means = k_star.T @ np.linalg.solve(G, model.Y)
+    variances = hp.signal_variance + hp.noise_variance - np.sum(k_star * np.linalg.solve(G, k_star), axis=0)
+    return means, np.where(variances < 1e-12, 1e-12, variances)
+
+
+def assert_matches_oracle(model, X_star, rtol, jitter=0.0):
+    """predict_batch within rtol of the oracle: means relative to the largest
+    oracle mean, variances relative to the prior variance."""
+    means, variances = gp_map.predict_batch(model, X_star)
+    want_means, want_variances = dense_solve_oracle(model, X_star, jitter)
+    hp = model.hyperparams
+    assert np.max(np.abs(means - want_means)) <= rtol * np.max(np.abs(want_means))
+    assert np.max(np.abs(variances - want_variances)) <= rtol * (hp.signal_variance + hp.noise_variance)
+
+
 class TestFit:
     def test_single_point_scalar_solve(self):
+        # k* = 2/e at 1 m, so the mean is k* * 3 / 2 and the variance 2 - k*^2 / 2.
         hp = GpHyperparams(signal_variance=2.0, length_scale=1.0, noise_variance=0.0)
         model = gp_map.fit(np.array([[0.0, 0.0]]), np.array([3.0]), hp)
-        assert model.W[0, 0] == pytest.approx(1.5, rel=1e-12)
+        mean, var = gp_map.predict(model, [1.0, 0.0])
+        assert mean[0] == pytest.approx(3.0 * math.exp(-1.0), rel=1e-15)
+        assert var == pytest.approx(2.0 - 2.0 * math.exp(-2.0), rel=1e-15)
 
     def test_residual_small_on_random_problems(self, rng):
         for _ in range(5):
             X = rng.uniform(0, 30, size=(20, 2))
-            Y = rng.normal(size=(20, 4))
-            model = gp_map.fit(X, Y, HP)
-            K = gp_map.gram_matrix(X, HP)
-            resid = np.linalg.norm(K @ model.W - Y) / np.linalg.norm(Y)
-            assert resid < 1e-8
+            model = gp_map.fit(X, rng.normal(size=(20, 4)), HP)
+            assert_matches_oracle(model, np.vstack([X, rng.uniform(0, 30, size=(30, 2))]), SOLVE_RTOL)
 
     def test_cholesky_reconstructs_gram(self, rng):
         X = rng.uniform(0, 30, size=(12, 2))
@@ -241,16 +262,30 @@ class TestFit:
         rel = np.abs(L @ L.T - K).max() / np.abs(K).max()
         assert rel < 1e-8
 
-    def test_zero_targets_zero_weights(self, rng):
+    def test_zero_targets_zero_means(self, rng):
         X = rng.uniform(0, 10, size=(6, 2))
         model = gp_map.fit(X, np.zeros((6, 3)), HP)
-        assert np.all(model.W == 0.0)
+        means, _ = gp_map.predict_batch(model, rng.uniform(0, 10, size=(9, 2)))
+        assert np.all(means == 0.0)
 
     def test_jitter_retry_on_duplicates(self):
         hp = GpHyperparams(signal_variance=1.0, length_scale=1.0, noise_variance=0.0)
         X = np.array([[0.0, 0.0], [0.0, 0.0]])
         model = gp_map.fit(X, np.array([[1.0], [1.0]]), hp)
-        assert np.all(np.isfinite(model.W))
+        means, variances = gp_map.predict_batch(model, np.array([[0.0, 0.0], [0.5, 0.5]]))
+        assert np.all(np.isfinite(means)) and np.all(np.isfinite(variances))
+
+    @pytest.mark.parametrize("where", ["Y", "X"])
+    def test_non_finite_input_is_data_error(self, rng, where):
+        X, Y = rng.uniform(0, 10, size=(6, 2)), rng.normal(size=(6, 3))
+        if where == "Y":
+            Y[4, 1] = np.nan
+        else:
+            X[2, 0] = np.inf
+        with pytest.raises(DataError, match=f"^{where} has a non-finite entry"):
+            gp_map.fit(X, Y, HP)
+        with pytest.raises(DataError, match=f"^{where} has a non-finite entry"):
+            gp_map.GpModel(X, HP, Y)
 
 
 def package_factor(X, hp):
@@ -276,16 +311,16 @@ def solve_case(name):
 
 SOLVE_CASES = ["n1", "below", "equal", "multiple", "not_multiple", "jitter", "l2"]
 # Largest entry of the difference from np.linalg.solve, relative to the
-# largest entry of its solution. Measured on these cases: at most 1.1e-15
-# for one solve and 5.9e-15 for the weights, two solves.
+# largest entry of its solution, or for predictions to the largest oracle
+# mean and to the prior variance. Measured on these cases: at most 1.1e-15
+# for one solve, 2.0e-15 for the means and 3.3e-15 for the variances.
 SOLVE_RTOL = 1e-13
 
 
 class TestBlockedSolve:
     @pytest.mark.parametrize("case", SOLVE_CASES)
-    @pytest.mark.parametrize("rows", [1, 9, 300])
-    @pytest.mark.parametrize("transpose", [False, True], ids=["L", "LT"])
-    def test_matches_numpy_solve(self, case, rows, transpose):
+    @pytest.mark.parametrize("rows", [1, 9, 300], ids=lambda rows: f"L-{rows}")
+    def test_matches_numpy_solve(self, case, rows):
         X, hp = solve_case(case)
         L = package_factor(X, hp)
         if case == "jitter":
@@ -295,8 +330,8 @@ class TestBlockedSolve:
             assert np.mean(gp_map._unit_kernel(X, X, hp.length_scale) == 0.0) > 0.5
         rhs = np.random.default_rng(rows).normal(size=(rows, X.shape[0]))
         got = rhs.copy()
-        gp_map._solve_rows(L, gp_map.block_inverses(L), got, transpose)
-        want = np.linalg.solve(L.T if transpose else L, rhs.T).T
+        gp_map._solve_rows(L, gp_map.block_inverses(L), got)
+        want = np.linalg.solve(L, rhs.T).T
         assert np.max(np.abs(got - want)) <= SOLVE_RTOL * np.max(np.abs(want))
 
     @pytest.mark.parametrize("case", SOLVE_CASES)
@@ -311,15 +346,24 @@ class TestBlockedSolve:
             assert np.array_equal(inv, np.tril(inv))
             np.testing.assert_allclose(L[s : s + w, s : s + w] @ inv, np.eye(w), atol=1e-10)
 
-    @pytest.mark.parametrize("case", ["n1", "not_multiple", "l2"])
-    @pytest.mark.parametrize("d", [1, 7])
-    def test_weights_match_numpy_solve(self, case, d):
+    @pytest.mark.parametrize("case", SOLVE_CASES)
+    @pytest.mark.parametrize("rows", [1, 9, 300])
+    def test_predictions_match_dense_solve(self, case, rows):
+        # Forward solves only: means S^T V and variances prior - |S|^2 from
+        # one factor, against LAPACK's general solve with the Gram matrix.
+        # The jitter case's factor is of the Gram matrix plus the retry's
+        # jitter, so its oracle solves with that matrix. The targets are
+        # functions of location, so its duplicated location reads the same
+        # twice; noise-free targets that differ there leave the means
+        # undetermined along the duplicate's direction, and any two solvers
+        # then differ by about 1e-9 of the largest mean.
         X, hp = solve_case(case)
-        Y = np.random.default_rng(d).normal(size=(X.shape[0], d))
-        W = gp_map._weights(package_factor(X, hp), Y)
-        want = np.linalg.solve(gp_map.gram_matrix(X, hp), Y)
-        assert W.flags.c_contiguous
-        assert np.max(np.abs(W - want)) <= SOLVE_RTOL * np.max(np.abs(want))
+        rng = np.random.default_rng(rows)
+        Y = np.column_stack([np.sin(X[:, 0] / 7), np.cos(X[:, 1] / 5), np.sin((X[:, 0] + X[:, 1]) / 11)])
+        model = gp_map.fit(X, Y, hp)
+        X_star = rng.uniform(0, X.max(), size=(rows, 2))
+        jitter = gp_map._JITTER_SCALE * hp.signal_variance if case == "jitter" else 0.0
+        assert_matches_oracle(model, X_star, SOLVE_RTOL, jitter)
 
     def test_nan_row_stays_in_its_row(self):
         X, hp = solve_case("not_multiple")
@@ -330,13 +374,12 @@ class TestBlockedSolve:
         for row in (2, k - 3):
             dirty = rhs.copy()
             dirty[row, 40] = np.nan
-            for transpose in (False, True):
-                clean, got = rhs.copy(), dirty.copy()
-                gp_map._solve_rows(L, inverses, clean, transpose)
-                gp_map._solve_rows(L, inverses, got, transpose)
-                assert np.isnan(got[row]).any()
-                others = np.arange(k) != row
-                assert np.array_equal(got[others], clean[others])
+            clean, got = rhs.copy(), dirty.copy()
+            gp_map._solve_rows(L, inverses, clean)
+            gp_map._solve_rows(L, inverses, got)
+            assert np.isnan(got[row]).any()
+            others = np.arange(k) != row
+            assert np.array_equal(got[others], clean[others])
 
     def test_nan_query_location_stays_in_its_row(self, rng):
         X, hp = solve_case("not_multiple")
@@ -524,7 +567,7 @@ def assert_same_maps(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.hyperparams == w.hyperparams
-        assert np.array_equal(g.W, w.W)
+        assert np.array_equal(g.Y, w.Y)
         assert np.array_equal(g.X_train, w.X_train)
 
 
@@ -608,24 +651,17 @@ class TestFitByEvidence:
             want = oracle_fits(X, [Y], UNGROUPED_GRID)[0].hyperparams
             assert gp_map.select_hyperparams(X, Y, UNGROUPED_GRID) == want
 
-    def test_reloaded_factor_equals_search_factor(self, survey):
-        # The search keeps no factor, so the factor a reloaded map makes must
-        # be the one the walk solved with: it reproduces the search's W bit
-        # for bit, the jitter-retry candidate included.
-        X, Ys = survey
-        grid = UNGROUPED_GRID + [GpHyperparams(1.0, 5.0, 0.0)]
-        for models in (gp_map.fit_by_evidence(X, Ys, grid), gp_map.fit_by_evidence(X, Ys, grid[-1:])):
-            for model, Y in zip(models, Ys):
-                back = gp_map.model_from_dict(json.loads(json.dumps(gp_map.model_to_dict(model))))
-                L = gp_map.cholesky_factor(back)
-                assert np.array_equal(L, gp_map.cholesky_factor(model))
-                assert np.array_equal(gp_map._weights(L, gp_map._targets(X, Y)), model.W)
-                assert np.array_equal(back.W, model.W)
-
     def test_bad_target_shape_is_data_error(self, survey):
         X, Ys = survey
         with pytest.raises(DataError, match="rows"):
             gp_map.fit_by_evidence(X, [Ys[0], Ys[1][:-1]], UNGROUPED_GRID)
+
+    def test_nan_target_is_data_error(self, survey):
+        # Before the check, the NaN target took the grid's first candidate.
+        X, Ys = survey
+        Ys[2][5, 0] = np.nan
+        with pytest.raises(DataError, match="^target 2 has a non-finite entry"):
+            gp_map.fit_by_evidence(X, Ys, UNGROUPED_GRID)
 
     def test_memory_bound(self, rng):
         # The search holds the unit kernel, one Gram buffer and the
@@ -664,16 +700,16 @@ class TestSerialization:
         for model in models:
             back = gp_map.model_from_dict(json.loads(json.dumps(gp_map.model_to_dict(model))))
             assert np.array_equal(back.X_train, model.X_train)
-            assert np.array_equal(back.W, model.W)
+            assert np.array_equal(back.Y, model.Y)
             assert back.hyperparams == model.hyperparams
 
     @pytest.mark.parametrize("key,value", [
         ("X_train", [[1.0]] * 6), ("X_train", []), ("X_train", [[1.0, 2.0, 3.0]] * 6),
-        ("W", [[0.0, 0.0]] * 5), ("W", [0.0] * 6), ("W", 0.0),
-    ], ids=["x_one_coordinate", "x_empty", "x_third_coordinate", "w_row_short", "w_flat", "w_scalar"])
+        ("Y", [[0.0, 0.0]] * 5), ("Y", [0.0] * 6), ("Y", 0.0),
+    ], ids=["x_one_coordinate", "x_empty", "x_third_coordinate", "y_row_short", "y_flat", "y_scalar"])
     def test_shapes_checked_before_factor(self, key, value, rng):
         X = rng.uniform(0, 10, size=(6, 2))
         doc = gp_map.model_to_dict(gp_map.fit(X, rng.normal(size=(6, 2)), HP))
         doc[key] = value
-        with pytest.raises(DataError, match="X must be n x 2|rows but W"):
+        with pytest.raises(DataError, match="X must be n x 2|rows but Y"):
             gp_map.model_from_dict(doc)

@@ -246,17 +246,21 @@ def dense_solve_predict_batch(model, X_star):
     cross-kernel laid out n x k: an oracle that shares no solve with it."""
     hp = model.hyperparams
     k_star = gp_map.kernel_matrix(model.X_train, X_star, hp)
-    means = k_star.T @ model.W
     v = np.linalg.solve(gp_map.gram_matrix(model.X_train, hp), k_star)
+    means = v.T @ model.Y
     variances = hp.signal_variance + hp.noise_variance - np.sum(k_star * v, axis=0)
     return means, np.where(variances < 1e-12, 1e-12, variances)
 
 
 # Largest deviation from the dense-solve oracle, relative to the prior
 # variance s2 + sn2 (variances) and to the largest mean (means). Measured
-# on the maps below: at most 2.7e-15 for the variances, at l = 40 m; the
-# means are the same product and agree exactly.
+# on the maps below: at most 2.7e-15 for the variances and 1.0e-13 for the
+# means, both at l = 40 m. There each mean of these random targets is a sum
+# of terms about 750 times its size, and the package's means and the
+# oracle's each lie about 9e-14 from an iteratively refined solve, so the
+# means get MEAN_RTOL.
 ORACLE_RTOL = 1e-13
+MEAN_RTOL = 1e-12
 
 
 def assert_near_oracle(model, X_star, means, variances):
@@ -264,7 +268,7 @@ def assert_near_oracle(model, X_star, means, variances):
     hp = model.hyperparams
     prior = hp.signal_variance + hp.noise_variance
     assert np.max(np.abs(variances - want_variances)) <= ORACLE_RTOL * prior
-    assert np.max(np.abs(means - want_means)) <= ORACLE_RTOL * np.max(np.abs(want_means))
+    assert np.max(np.abs(means - want_means)) <= MEAN_RTOL * np.max(np.abs(want_means))
 
 
 class TestFieldBuilder:
@@ -320,12 +324,12 @@ class TestFieldBuilder:
 
     def test_precompute_memory_is_bounded_by_the_block(self):
         # numpy reports its buffers to tracemalloc. Beyond the per-cell tables,
-        # the dx^2 / dy^2 axis tables and the map's n x n factor, the precompute
-        # holds one n x _ROWS buffer for all chunks. `tables` also counts
+        # the dx^2 / dy^2 axis tables, the map's n x n factor and its d x n
+        # V = L^-1 Y, the precompute holds one n x _ROWS buffer for all chunks. `tables` also counts
         # _log_norm, which is built after the chunks: until then its room
         # holds the factor's block inverses, the solve's panel and numpy's
         # buffer for the solve's strided subtraction; the kernel floor's
-        # boolean mask takes 1/8 of a buffer. Measured at numpy 2.4: 1.105
+        # boolean mask takes 1/8 of a buffer. Measured at numpy 2.4: 1.096
         # buffers over the tables.
         # A buffer allocated per chunk holds two n x _ROWS arrays while the
         # next is made, and _mean_sq taken over the whole means table makes
@@ -334,7 +338,7 @@ class TestFieldBuilder:
         hp = gp_map.GpHyperparams(signal_variance=1.0, length_scale=10.0, noise_variance=0.05)
         pipe = random_pipeline(n, d, hp)
         grid = loc.Grid(0.0, 0.0, 1.0, 200, 100)
-        tables = 8 * grid.n_cells * (d + 3) + 8 * n * (grid.width + grid.height) + 8 * n * n
+        tables = 8 * grid.n_cells * (d + 3) + 8 * n * (grid.width + grid.height) + 8 * n * n + 8 * n * d
         tracemalloc.start()
         try:
             loc.FieldBuilder(pipe, grid)
@@ -413,7 +417,9 @@ class TestBlockScoring:
 
     def test_single_rows_keep_the_matrix_vector_bits(self):
         # field_for, a one-row block and a plain measurement give the same
-        # log values; a row inside a block agrees to rounding.
+        # log values; a row inside a block agrees to rounding. A value near
+        # 0 (one reads -0.0101) is the difference of terms near the row's
+        # largest, so the bound also allows 1e-13 of the row's largest value.
         pipe, grid, test_set = scoring_case(loc._POINTS + 1)
         builder = loc.FieldBuilder(pipe, grid)
         block = builder.log_likelihoods(test_set.Z)
@@ -421,7 +427,7 @@ class TestBlockScoring:
         for i, z in enumerate(test_set.Z):
             one = builder.log_likelihoods(z)
             assert np.array_equal(builder.log_likelihoods(test_set.Z[i : i + 1]), one[None, :])
-            np.testing.assert_allclose(block[i], one, rtol=1e-13)
+            np.testing.assert_allclose(block[i], one, rtol=1e-13, atol=1e-13 * np.max(np.abs(one)))
 
     @pytest.mark.parametrize("bad", [[5], [11, 13], [16]])
     def test_a_non_finite_row_is_named_by_its_own_index(self, bad):
