@@ -87,13 +87,12 @@ class SurveyDataset:
 class NormalizationStats:
     """Per-AP standardization parameters, invertible exactly.
 
-    constant_aps flags columns whose observed spread was zero; their std
-    is recorded as 1 so the transform stays invertible.
+    A column whose observed spread was zero has std 1, so the transform
+    stays invertible.
     """
 
     per_ap_mean: np.ndarray
     per_ap_std: np.ndarray
-    constant_aps: tuple[int, ...] = ()
 
     def __post_init__(self):
         mean = _frozen_array(self.per_ap_mean)
@@ -104,7 +103,6 @@ class NormalizationStats:
             raise DataError("std entries must be strictly positive")
         object.__setattr__(self, "per_ap_mean", mean)
         object.__setattr__(self, "per_ap_std", std)
-        object.__setattr__(self, "constant_aps", tuple(int(i) for i in self.constant_aps))
 
 
 def _default_waypoints() -> tuple[tuple[float, float], ...]:
@@ -394,20 +392,24 @@ def save_csv(ds: SurveyDataset, path) -> None:
     write_csv(path, ["x", "y", *ds.ap_ids], rows)
 
 
+def standardize(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Column means, column stds (population; a std of 0 becomes 1) and (A - mean) / std."""
+    mean = A.mean(axis=0)
+    std = A.std(axis=0)
+    std = np.where(std == 0.0, 1.0, std)
+    return mean, std, (A - mean) / std
+
+
 def normalize(ds: SurveyDataset) -> tuple[SurveyDataset, NormalizationStats]:
     """Standardize each AP column to mean 0, std 1 (population std).
 
-    Constant columns get std 1 and are flagged in the returned stats.
+    Constant columns get std 1.
     """
     if ds.normalized:
         raise DataError("dataset is already normalized")
-    mean = ds.Z.mean(axis=0)
-    std = ds.Z.std(axis=0)
-    constant = tuple(int(j) for j in np.nonzero(std == 0.0)[0])
-    std = np.where(std == 0.0, 1.0, std)
-    Z = (ds.Z - mean) / std
+    mean, std, Z = standardize(ds.Z)
     out = SurveyDataset(X=ds.X, Z=Z, ap_ids=ds.ap_ids, normalized=True)
-    return out, NormalizationStats(per_ap_mean=mean, per_ap_std=std, constant_aps=constant)
+    return out, NormalizationStats(per_ap_mean=mean, per_ap_std=std)
 
 
 def denormalize(ds: SurveyDataset, stats: NormalizationStats) -> SurveyDataset:

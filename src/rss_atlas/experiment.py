@@ -15,7 +15,7 @@ import math
 import os
 import re
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .localization import (
 )
 
 # The one format version of a pipeline file; it decides how every part is read.
-PIPELINE_FORMAT_VERSION = 3
+PIPELINE_FORMAT_VERSION = 4
 
 # Seed offsets so each stage draws from its own stream; each autoencoder
 # kind trains from the experiment seed plus its own offset.
@@ -291,6 +291,15 @@ def build_compressor(spec: CompressorSpec, train_norm: ds_mod.SurveyDataset, sta
     return AutoencoderCompressor(params), report
 
 
+def latent_targets(compressor, train_norm: ds_mod.SurveyDataset):
+    """(mean, std, Y): the compressor's training latents standardized per column.
+
+    Every GP map is fitted on its Y, in train and when evaluate rebuilds
+    the map from train.csv, so the two maps agree bit for bit.
+    """
+    return ds_mod.standardize(compressor.encode(train_norm.Z))
+
+
 def build_pipelines(
     items: list[tuple[str, object]],
     train_norm: ds_mod.SurveyDataset,
@@ -303,13 +312,7 @@ def build_pipelines(
     candidate once for every pipeline; each map is fitted at its own
     evidence-maximizing candidate.
     """
-    targets = []
-    for _, compressor in items:
-        latents = compressor.encode(train_norm.Z)
-        mean = latents.mean(axis=0)
-        std = latents.std(axis=0)
-        std = np.where(std == 0.0, 1.0, std)
-        targets.append((mean, std, (latents - mean) / std))
+    targets = [latent_targets(compressor, train_norm) for _, compressor in items]
     models = gp_map.fit_by_evidence(train_norm.X, [Y for _, _, Y in targets], gp_grid)
     return [
         Pipeline(label=label, compressor=compressor, gp=model, latent_mean=mean, latent_std=std)
@@ -328,6 +331,11 @@ def build_pipeline(
 
 
 def pipeline_to_dict(pipeline: Pipeline) -> dict:
+    """The pipeline's GP hyperparameters and fitted compressor.
+
+    The map's training locations and targets are not stored: they follow
+    from train.csv and the compressor (see pipeline_from_dict).
+    """
     comp = pipeline.compressor
     if isinstance(comp, IdentityCompressor):
         comp_doc = {"kind": "identity", "input_dim": comp.input_dim}
@@ -339,15 +347,18 @@ def pipeline_to_dict(pipeline: Pipeline) -> dict:
         raise ConfigError(f"cannot serialize compressor {type(comp).__name__}")
     return {
         "format_version": PIPELINE_FORMAT_VERSION,
-        "label": pipeline.label,
-        "latent_mean": pipeline.latent_mean.tolist(),
-        "latent_std": pipeline.latent_std.tolist(),
-        "gp": gp_map.model_to_dict(pipeline.gp),
+        "hyperparams": asdict(pipeline.gp.hyperparams),
         "compressor": comp_doc,
     }
 
 
-def pipeline_from_dict(doc: dict) -> Pipeline:
+def pipeline_from_dict(doc: dict, label: str, train_norm: ds_mod.SurveyDataset) -> Pipeline:
+    """Rebuild the pipeline `label` from its document and the normalized training rows.
+
+    The map is fitted at the stored hyperparameters on the targets
+    `latent_targets` makes, as `build_pipelines` fitted it. The label comes
+    from the caller, which also named the file.
+    """
     if doc.get("format_version") != PIPELINE_FORMAT_VERSION:
         raise DataError(
             f"unsupported pipeline format_version {doc.get('format_version')!r}"
@@ -363,13 +374,9 @@ def pipeline_from_dict(doc: dict) -> Pipeline:
         comp = AutoencoderCompressor(ae.params_from_dict(comp_doc["model"]))
     else:
         raise DataError(f"unknown compressor kind {kind!r} in pipeline file")
-    return Pipeline(
-        label=str(doc["label"]),
-        compressor=comp,
-        gp=gp_map.model_from_dict(doc["gp"]),
-        latent_mean=np.array(doc["latent_mean"], dtype=float),
-        latent_std=np.array(doc["latent_std"], dtype=float),
-    )
+    mean, std, Y = latent_targets(comp, train_norm)
+    model = gp_map.fit(train_norm.X, Y, gp_map.GpHyperparams(**doc["hyperparams"]))
+    return Pipeline(label=label, compressor=comp, gp=model, latent_mean=mean, latent_std=std)
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -409,22 +416,6 @@ class Manifest:
         _write_json(os.path.join(output_dir, "manifest.json"), self.doc)
 
 
-def _norm_stats_doc(stats: ds_mod.NormalizationStats) -> dict:
-    return {
-        "per_ap_mean": stats.per_ap_mean.tolist(),
-        "per_ap_std": stats.per_ap_std.tolist(),
-        "constant_aps": list(stats.constant_aps),
-    }
-
-
-def _norm_stats_from_doc(doc: dict) -> ds_mod.NormalizationStats:
-    return ds_mod.NormalizationStats(
-        per_ap_mean=np.array(doc["per_ap_mean"], dtype=float),
-        per_ap_std=np.array(doc["per_ap_std"], dtype=float),
-        constant_aps=tuple(doc.get("constant_aps", ())),
-    )
-
-
 def _reject_constant(name: str):
     raise DataError(f"non-finite number {name}")
 
@@ -454,8 +445,8 @@ def _load_artifact(path: str, parse):
 def _check_ap_order(test_ids, train_ids, test_path: str, train_path: str) -> None:
     """The test file's AP columns are the train file's, in the same order.
 
-    The normalization stats and every model are indexed by column, so a
-    reordered column would be scored against another AP's statistics. A
+    The normalization stats and every compressor are indexed by column, so
+    a reordered column would be scored against another AP's statistics. A
     column that one file lacks reads as None.
     """
     for k, (test_id, train_id) in enumerate(itertools.zip_longest(test_ids, train_ids)):
@@ -492,8 +483,6 @@ def run_train(cfg: ExperimentConfig, manifest: Manifest | None = None) -> list[s
     manifest.artifact("test.csv")
 
     train_norm, stats = ds_mod.normalize(train_raw)
-    _write_json(os.path.join(outdir, "norm_stats.json"), _norm_stats_doc(stats))
-    manifest.artifact("norm_stats.json")
     manifest.stage("dataset")
 
     built = []
@@ -532,29 +521,28 @@ def run_train(cfg: ExperimentConfig, manifest: Manifest | None = None) -> list[s
 def run_evaluate(cfg: ExperimentConfig, manifest: Manifest | None = None) -> list[loc.EvalResult]:
     """Score saved pipelines on the saved test split; `manifest` as in run_train.
 
-    Every pipeline file must exist before scoring starts, but each is read
-    only when `loc.evaluate` reaches it, so a corrupt one is reported after
-    the ones before it are scored; no eval or summary file is written then.
+    train.csv is normalized as train normalized it, and each map is rebuilt
+    from it and its pipeline file (see pipeline_from_dict). Every pipeline
+    file must exist before scoring starts, but each is read only when
+    `loc.evaluate` reaches it, so a corrupt one is reported after the ones
+    before it are scored; no eval or summary file is written then.
     """
     outdir = cfg.output_dir
     own_manifest = manifest is None
     manifest = manifest or Manifest(cfg)
-    for name in ("train.csv", "test.csv", "norm_stats.json"):
+    for name in ("train.csv", "test.csv"):
         if not os.path.exists(os.path.join(outdir, name)):
             raise DataError(f"missing artifact {os.path.join(outdir, name)}; run train first")
 
     train_path, test_path = os.path.join(outdir, "train.csv"), os.path.join(outdir, "test.csv")
-    stats_path = os.path.join(outdir, "norm_stats.json")
     train_raw = ds_mod.load_csv(train_path)
     test_raw = ds_mod.load_csv(test_path)
-    stats = _load_artifact(stats_path, _norm_stats_from_doc)
-    try:
-        test_norm = ds_mod.apply_normalization(test_raw, stats)
-    except DataError as exc:
-        raise DataError(f"{test_path} does not fit {stats_path}: {exc}") from None
     _check_ap_order(test_raw.ap_ids, train_raw.ap_ids, test_path, train_path)
+    train_norm, stats = ds_mod.normalize(train_raw)
+    test_norm = ds_mod.apply_normalization(test_raw, stats)
 
-    paths = [os.path.join(outdir, f"pipeline_{spec.label}.json") for spec in cfg.compressors]
+    labels = [spec.label for spec in cfg.compressors]
+    paths = [os.path.join(outdir, f"pipeline_{label}.json") for label in labels]
     for path in paths:
         if not os.path.exists(path):
             raise DataError(f"missing model file {path}")
@@ -568,7 +556,10 @@ def run_evaluate(cfg: ExperimentConfig, manifest: Manifest | None = None) -> lis
     all_points = np.vstack([train_raw.X, test_raw.X])
     grid = Grid.cover(all_points, ev.cell_size, ev.margin_cells)
     # Each pipeline is read when its turn comes, so one is held at a time.
-    pipelines = (_load_artifact(path, pipeline_from_dict) for path in paths)
+    pipelines = (
+        _load_artifact(path, lambda doc: pipeline_from_dict(doc, label, train_norm))
+        for label, path in zip(labels, paths)
+    )
     results = loc.evaluate(pipelines, test_norm, grid, ev.sigma_m, ev.raster_indices)
     manifest.stage("evaluate")
 

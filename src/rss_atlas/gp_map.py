@@ -41,7 +41,7 @@ products on the same rows and agree bit for bit at any BLAS thread count.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -402,17 +402,3 @@ def select_hyperparams(
 ) -> GpHyperparams:
     """Grid search maximizing the evidence: `fit_by_evidence` for one target."""
     return fit_by_evidence(X, [Y], grid)[0].hyperparams
-
-
-def model_to_dict(model: GpModel) -> dict:
-    return {
-        "hyperparams": asdict(model.hyperparams),
-        "X_train": model.X_train.tolist(),
-        "Y": model.Y.tolist(),
-    }
-
-
-def model_from_dict(doc: dict) -> GpModel:
-    """Rebuild a map from model_to_dict output; the constructor checks the arrays."""
-    hp = GpHyperparams(**doc["hyperparams"])
-    return GpModel(np.array(doc["X_train"], dtype=float), hp, np.array(doc["Y"], dtype=float))

@@ -56,7 +56,9 @@ def fit(Z: np.ndarray, c: int) -> PcaModel:
     cov = (centered.T @ centered) / (n - 1)
     w, V = np.linalg.eigh(cov)
     order = np.argsort(-w, kind="stable")[:c]
-    comps = V[:, order]
+    # C order, as a reloaded model's components are: the two layouts round
+    # the projection differently.
+    comps = np.ascontiguousarray(V[:, order])
     vals = w[order]
     # Fixed sign: largest-magnitude entry of each component positive.
     for j in range(c):

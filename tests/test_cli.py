@@ -107,8 +107,9 @@ class TestTrainCommand:
         outdir = tmp_path / "out"
         assert (outdir / "pipeline_input.json").exists()
         assert (outdir / "train.csv").exists()
-        assert (outdir / "norm_stats.json").exists()
         assert (outdir / "manifest.json").exists()
+        # The normalization stats follow from train.csv.
+        assert not (outdir / "norm_stats.json").exists()
 
     def test_ae_training_writes_report(self, tmp_path):
         doc = tiny_config(tmp_path / "out")
@@ -177,12 +178,13 @@ class TestEvaluateCommand:
         assert built == ["input", "pca4", "distance_ae"]
         monkeypatch.undo()
 
-        train = dsm.load_csv(outdir / "train.csv")
-        test = dsm.apply_normalization(dsm.load_csv(outdir / "test.csv"), dsm.normalize(train)[1])
+        train, stats = dsm.normalize(dsm.load_csv(outdir / "train.csv"))
+        test = dsm.apply_normalization(dsm.load_csv(outdir / "test.csv"), stats)
         grid = loc.Grid.cover(np.vstack([train.X, test.X]), 2.0, 2)
         expected = tmp_path / "expected.pgm"
         for label in built:
-            pipe = ex.pipeline_from_dict(json.loads((outdir / f"pipeline_{label}.json").read_text()))
+            doc = json.loads((outdir / f"pipeline_{label}.json").read_text())
+            pipe = ex.pipeline_from_dict(doc, label, train)
             builder = loc.FieldBuilder(pipe, grid)
             for idx in (0, 3):
                 loc.save_field_pgm(builder.field_for(test.Z[idx]), expected)
@@ -211,6 +213,19 @@ class TestEvaluateCommand:
         assert not list(outdir.glob("eval_*.csv"))
         assert not (outdir / "summary.csv").exists()
         assert not list(outdir.glob("*.tmp"))
+
+    @pytest.mark.parametrize("stored", ["input", "a,b"])
+    def test_stored_label_renames_nothing(self, trained_dir, stored):
+        """A label left in a pipeline file names no output: the config names them all."""
+        cfg, outdir = trained_dir
+        path = outdir / "pipeline_pca4.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "label": stored}))
+        assert cli.main(["evaluate", "--config", cfg]) == 0
+        labels = ["input", "pca4", "distance_ae"]
+        assert sorted(p.name for p in outdir.glob("eval_*.csv")) == sorted(f"eval_{l}.csv" for l in labels)
+        rows = [line.split(",") for line in (outdir / "summary.csv").read_text().splitlines()[1:]]
+        assert [cells[0] for cells in rows] == labels
+        assert all(len(cells) == 3 for cells in rows)
 
     def test_summary_mean_matches_per_point_csv(self, trained_dir):
         cfg, outdir = trained_dir
@@ -271,8 +286,11 @@ def identity_config(out_dir):
     return doc
 
 
+TRAINED_LABELS = ("input", "pca4", "distance_ae")
+
+
 def trained_config(out_dir):
-    """tiny_config with a 3-epoch distance_ae: pipelines input, pca4 and distance_ae."""
+    """tiny_config with a 3-epoch distance_ae: the pipelines TRAINED_LABELS."""
     doc = tiny_config(out_dir)
     doc["compressors"][2]["train"]["epochs"] = 3
     return doc
@@ -297,7 +315,7 @@ def _missing_csv(doc, out):
 
 
 def _corrupt_pipeline_json(doc, out):
-    (out / "pipeline_input.json").write_text('{"format_version": 1, "gp": ')
+    (out / "pipeline_input.json").write_text('{"format_version": 4, "hyperparams": ')
     return "evaluate"
 
 
@@ -313,10 +331,16 @@ def _edit_pipeline(label, edit):
     return setup
 
 
-def _format_2(pipe):
-    """A pipeline document as format 2 wrote it: the GP's solved weights W in place of its targets Y."""
-    pipe["format_version"] = 2
-    pipe["gp"]["W"] = pipe["gp"].pop("Y")
+def _earlier_format(version):
+    """A pipeline document as format 2 or 3 wrote it: a label, the latent stats
+    and a GP holding its training locations and its solved weights W (2) or
+    its targets Y (3)."""
+    def edit(pipe):
+        d = pipe["compressor"]["input_dim"]  # an identity pipeline
+        rows = {"X_train": [[0.0, 0.0], [1.0, 0.0]], "W" if version == 2 else "Y": [[0.0] * d] * 2}
+        pipe.update(format_version=version, label="input", latent_mean=[0.0] * d,
+                    latent_std=[1.0] * d, gp={"hyperparams": pipe.pop("hyperparams"), **rows})
+    return edit
 
 
 def _overflowing_number(label, edit):
@@ -329,15 +353,6 @@ def _overflowing_number(label, edit):
         path.write_text(path.read_text().replace('"1e400"', "1e400"))
         return command
     return setup
-
-
-def _edit_norm_stats(doc, out):
-    path = out / "norm_stats.json"
-    stats = json.loads(path.read_text())
-    stats["per_ap_mean"].pop()
-    stats["per_ap_std"].pop()
-    path.write_text(json.dumps(stats))
-    return "evaluate"
 
 
 def _drop_last_test_column(doc, out):
@@ -354,14 +369,6 @@ def _swap_first_test_columns(doc, out):
     for cells in rows:
         cells[2], cells[3] = cells[3], cells[2]
     path.write_text("\n".join(",".join(cells) for cells in rows) + "\n")
-    return "evaluate"
-
-
-def _infinite_norm_std(doc, out):
-    path = out / "norm_stats.json"
-    stats = json.loads(path.read_text())
-    stats["per_ap_std"][0] = float("inf")
-    path.write_text(json.dumps(stats))
     return "evaluate"
 
 
@@ -384,12 +391,33 @@ def _underflowing_test_row(doc, out):
     return "evaluate"
 
 
-def _overflowing_latent_std(doc, out):
-    path = out / "pipeline_input.json"
-    pipe = json.loads(path.read_text())
-    pipe["latent_std"] = [1e-300] * len(pipe["latent_std"])
-    path.write_text(json.dumps(pipe))
-    return "evaluate"
+def _overflowing_latents(*labels):
+    """Evaluate `labels` once train.csv's ap000 column is constant and pca4
+    weighs that AP by 1e200 around a mean of 0.
+
+    Normalized, the training rows read exactly 0 on ap000, so pca4's
+    training latents stay finite and its map is rebuilt as usual; but test
+    point 0 reads about 1 there, so its pca4 latents are near 1e200 and
+    their squared distances to the grid's means overflow.
+    """
+    def setup(doc, out):
+        test_value = float((out / "test.csv").read_text().splitlines()[1].split(",")[2])
+        path = out / "train.csv"
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        for cells in rows[1:]:
+            cells[2] = repr(test_value / 2)  # a physical RSS that test point 0 does not read
+        path.write_text("\n".join(",".join(cells) for cells in rows) + "\n")
+
+        def weigh_ap000(pipe):
+            model = pipe["compressor"]["model"]
+            model["mean"][0] = 0.0
+            model["components"][0] = [1e200] * len(model["components"][0])
+
+        _edit_pipeline("pca4", weigh_ap000)(doc, out)
+        by_label = dict(zip(TRAINED_LABELS, trained_config(out)["compressors"]))
+        doc["compressors"] = [by_label[label] for label in labels]
+        return "evaluate"
+    return setup
 
 
 def _tx_power_above_0_dbm(doc, out):
@@ -551,35 +579,27 @@ FAILURES = {
     "corrupt_pipeline_json": (_corrupt_pipeline_json, 2, "pipeline_input.json"),
     "v1_pipeline": (
         _edit_pipeline("input", lambda p: p.update(format_version=1)), 2,
-        "pipeline_input.json: unsupported pipeline format_version 1 (expected 3; rerun train",
+        "pipeline_input.json: unsupported pipeline format_version 1 (expected 4; rerun train",
     ),
     "v1_autoencoder_pipeline": (
         _autoencoder_pipeline(1, distance_mode="squared"), 2,
-        "pipeline_input.json: unsupported pipeline format_version 1 (expected 3; rerun train",
+        "pipeline_input.json: unsupported pipeline format_version 1 (expected 4; rerun train",
     ),
     "v2_pipeline": (
-        _edit_pipeline("input", _format_2), 2,
-        "pipeline_input.json: unsupported pipeline format_version 2 (expected 3; rerun train",
+        _edit_pipeline("input", _earlier_format(2)), 2,
+        "pipeline_input.json: unsupported pipeline format_version 2 (expected 4; rerun train",
     ),
-    "gp_y_row_short": (
-        _edit_pipeline("input", lambda p: p["gp"]["Y"].pop()), 2, "pipeline_input.json: X has"
+    "v3_pipeline": (
+        _edit_pipeline("input", _earlier_format(3)), 2,
+        "pipeline_input.json: unsupported pipeline format_version 3 (expected 4; rerun train",
     ),
-    "gp_x_one_coordinate": (
-        _edit_pipeline("input", lambda p: p["gp"].update(X_train=[x[:1] for x in p["gp"]["X_train"]])),
-        2, "pipeline_input.json: X must be n x 2",
+    "nonpositive_length_scale": (
+        _edit_pipeline("input", lambda p: p["hyperparams"].update(length_scale=0.0)), 2,
+        "pipeline_input.json: length_scale must be > 0",
     ),
-    "gp_x_empty": (
-        _edit_pipeline("input", lambda p: p["gp"].update(X_train=[])), 2, "pipeline_input.json: X must be n x 2"
-    ),
-    "gp_x_third_coordinate": (
-        _edit_pipeline("input", lambda p: [x.append(0.0) for x in p["gp"]["X_train"]]),
-        2, "pipeline_input.json: X must be n x 2",
-    ),
-    "latent_mean_short": (
-        _edit_pipeline("input", lambda p: p["latent_mean"].pop()), 2, "pipeline_input.json: latent_mean has"
-    ),
-    "latent_std_short": (
-        _edit_pipeline("pca4", lambda p: p["latent_std"].pop()), 2, "pipeline_pca4.json: latent_std has"
+    "identity_input_dim_short": (
+        _edit_pipeline("input", lambda p: p["compressor"].update(input_dim=11)), 2,
+        "pipeline_input.json: expected 11 columns, got 12",
     ),
     "pca_mean_short": (
         _edit_pipeline("pca4", lambda p: p["compressor"]["model"]["mean"].pop()), 2,
@@ -606,37 +626,38 @@ FAILURES = {
         _edit_pipeline("distance_ae", _ae_model(lambda m: m.update(hidden_dims=[8]))), 2,
         "pipeline_distance_ae.json: hidden_dims must be a pair",
     ),
-    "norm_stats_short": (_edit_norm_stats, 2, "norm_stats.json: stats for 11 access points, data has 12"),
     "test_csv_missing_ap": (_drop_last_test_column, 2, "test.csv does not fit"),
     "test_csv_aps_reordered": (
         _swap_first_test_columns, 2,
         "train.csv: AP column 0 is 'ap001' in the test file and 'ap000' in the train file",
     ),
-    "nan_in_gp_x_train": (
-        _edit_pipeline("input", lambda p: p["gp"]["X_train"][0].__setitem__(0, float("nan"))), 2,
-        "pipeline_input.json: non-finite number NaN",
+    "nan_in_pca_components": (
+        _edit_pipeline("pca4", lambda p: p["compressor"]["model"]["components"][0].__setitem__(0, float("nan"))),
+        2, "pipeline_pca4.json: non-finite number NaN",
     ),
-    "nan_in_latent_mean": (
-        _edit_pipeline("input", lambda p: p["latent_mean"].__setitem__(0, float("nan"))), 2,
-        "pipeline_input.json: non-finite number NaN",
+    "nan_in_ae_weights": (
+        _edit_pipeline("distance_ae", _ae_model(lambda m: m["enc_hidden"]["weights"][0].__setitem__(0, float("nan")))),
+        2, "pipeline_distance_ae.json: non-finite number NaN",
     ),
-    "infinity_in_norm_stats": (_infinite_norm_std, 2, "norm_stats.json: non-finite number Infinity"),
-    "overflow_in_gp_x_train": (
-        _overflowing_number("input", lambda p: p["gp"]["X_train"][0].__setitem__(0, "1e400")), 2,
-        "pipeline_input.json: number 1e400 overflows a double",
+    "infinity_in_pca_mean": (
+        _edit_pipeline("pca4", lambda p: p["compressor"]["model"]["mean"].__setitem__(0, float("inf"))), 2,
+        "pipeline_pca4.json: non-finite number Infinity",
     ),
-    "overflow_in_latent_mean": (
-        _overflowing_number("input", lambda p: p["latent_mean"].__setitem__(0, "1e400")), 2,
-        "pipeline_input.json: number 1e400 overflows a double",
+    "overflow_in_pca_components": (
+        _overflowing_number("pca4", lambda p: p["compressor"]["model"]["components"][0].__setitem__(0, "1e400")),
+        2, "pipeline_pca4.json: number 1e400 overflows a double",
+    ),
+    "overflow_in_ae_biases": (
+        _overflowing_number("distance_ae", _ae_model(lambda m: m["enc_hidden"]["biases"].__setitem__(0, "1e400"))),
+        2, "pipeline_distance_ae.json: number 1e400 overflows a double",
     ),
     "huge_int_in_train_config": (
         _autoencoder_pipeline(ex.PIPELINE_FORMAT_VERSION, lambda_d=10**400), 2, "corrupt or unreadable artifact"
     ),
     "underflowing_test_row": (_underflowing_test_row, 2, "not physical"),
-    "overflowing_latent_std": (_overflowing_latent_std, 3, "pipeline input: test point 0"),
+    "overflowing_latent_std": (_overflowing_latents("pca4"), 3, "pipeline pca4: test point 0"),
     "overflowing_latent_std_of_a_later_pipeline": (
-        _edit_pipeline("pca4", lambda p: p.__setitem__("latent_std", [1e-300] * len(p["latent_std"]))),
-        3, "numerical failure: pipeline pca4: test point 0: ",
+        _overflowing_latents(*TRAINED_LABELS), 3, "numerical failure: pipeline pca4: test point 0: ",
     ),
 }
 
@@ -675,7 +696,10 @@ def test_unfactorable_map_loads_and_fails_in_evaluate(tmp_path, trained_run, mon
         raise GpFitError("covariance matrix is not positive definite")
 
     monkeypatch.setattr(gp_map, "_cholesky_with_jitter", refuse)
-    pipe = ex._load_artifact(str(out / "pipeline_input.json"), ex.pipeline_from_dict)
+    train, _ = dsm.normalize(dsm.load_csv(out / "train.csv"))
+    pipe = ex._load_artifact(
+        str(out / "pipeline_input.json"), lambda doc: ex.pipeline_from_dict(doc, "input", train)
+    )
     assert pipe.gp.n > 0
     cfg = ex.config_from_dict(identity_config(out))
     with pytest.raises(GpFitError, match="not positive definite"):
@@ -699,8 +723,9 @@ def test_overflow_exit_prints_one_stderr_line(tmp_path, trained_run):
     """Outside pytest's capture numpy would print its overflow warning before the error."""
     out = tmp_path / "out"
     shutil.copytree(trained_run, out)
-    _overflowing_latent_std(None, out)
-    cfg = write_config(tmp_path, identity_config(out))
+    doc = identity_config(out)
+    _overflowing_latents("pca4")(doc, out)
+    cfg = write_config(tmp_path, doc)
     proc = subprocess.run(
         [sys.executable, "-m", "rss_atlas.cli", "evaluate", "--config", cfg],
         capture_output=True, text=True, env=_module_env(), timeout=120,

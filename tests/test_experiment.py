@@ -188,6 +188,16 @@ class TestCompareSpecs:
         assert specs[4].train.lambda_d == cfg.ae_train.lambda_d
 
 
+def assert_same_map(got, want):
+    """Two pipelines hold the same map bit for bit: training rows, targets,
+    latent stats and hyperparameters."""
+    assert np.array_equal(got.gp.X_train, want.gp.X_train)
+    assert np.array_equal(got.gp.Y, want.gp.Y)
+    assert np.array_equal(got.latent_mean, want.latent_mean)
+    assert np.array_equal(got.latent_std, want.latent_std)
+    assert got.gp.hyperparams == want.gp.hyperparams
+
+
 class TestPipelineSerialization:
     @pytest.mark.parametrize("kind", ["identity", "pca", "autoencoder"])
     def test_roundtrip(self, kind, train_norm):
@@ -201,39 +211,38 @@ class TestPipelineSerialization:
             comp = loc.AutoencoderCompressor(params)
         grid = [gp_map.GpHyperparams(1.0, 10.0, 0.05)]
         pipe = ex.build_pipeline("p", comp, train_norm, grid)
-        back = ex.pipeline_from_dict(ex.pipeline_to_dict(pipe))
+        doc = json.loads(json.dumps(ex.pipeline_to_dict(pipe)))
+        back = ex.pipeline_from_dict(doc, "p", train_norm)
+        assert back.label == "p"
         z = train_norm.Z[:3]
-        # Stored values are bit-exact; encode may differ by an ulp because
-        # reloaded arrays can take a different BLAS path.
-        np.testing.assert_allclose(back.encode(z), pipe.encode(z), rtol=1e-12, atol=1e-14)
-        assert np.array_equal(back.gp.Y, pipe.gp.Y)
-        assert np.array_equal(back.gp.X_train, pipe.gp.X_train)
-        assert back.gp.hyperparams == pipe.gp.hyperparams
-        assert np.array_equal(back.latent_mean, pipe.latent_mean)
-        assert np.array_equal(back.latent_std, pipe.latent_std)
+        assert np.array_equal(back.encode(z), pipe.encode(z))
+        assert_same_map(back, pipe)
 
-    def test_version_check(self):
+    def test_version_check(self, train_norm):
         with pytest.raises(DataError, match="format_version"):
-            ex.pipeline_from_dict({"format_version": 0})
+            ex.pipeline_from_dict({"format_version": 0}, "p", train_norm)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_one_format_version(self, kind, pipeline_docs):
-        """The pipeline document carries the file's only format version."""
+        """The pipeline document carries the file's only format version, the
+        hyperparameters and the compressor, and no training data."""
         doc = pipeline_docs[kind]
-        assert doc["format_version"] == ex.PIPELINE_FORMAT_VERSION == 3
+        assert doc["format_version"] == ex.PIPELINE_FORMAT_VERSION == 4
         assert json.dumps(doc).count("format_version") == 1
-        assert set(doc["gp"]) == {"hyperparams", "X_train", "Y"}
+        assert list(doc) == ["format_version", "hyperparams", "compressor"]
+        assert set(doc["hyperparams"]) == {"signal_variance", "length_scale", "noise_variance"}
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_earlier_format_rejected(self, kind, pipeline_docs):
-        """A format 1 file, which also versioned its GP and compressor, says to rerun train."""
+    def test_earlier_format_rejected(self, kind, pipeline_docs, small_norm):
+        """A format 3 file, which also stored a label, the latent stats and the
+        GP's training rows, says to rerun train."""
         doc = copy.deepcopy(pipeline_docs[kind])
-        doc["format_version"] = 1
-        doc["gp"]["format_version"] = 1
-        if kind != "identity":
-            doc["compressor"]["model"]["format_version"] = 1
-        with pytest.raises(DataError, match=r"format_version 1 \(expected 3; rerun train"):
-            ex.pipeline_from_dict(doc)
+        d = 4 if kind != "identity" else small_norm.m
+        doc.update(format_version=3, label=kind, latent_mean=[0.0] * d, latent_std=[1.0] * d)
+        doc["gp"] = {"hyperparams": doc.pop("hyperparams"), "X_train": small_norm.X.tolist(),
+                     "Y": [[0.0] * d] * small_norm.n}
+        with pytest.raises(DataError, match=r"format_version 3 \(expected 4; rerun train"):
+            ex.pipeline_from_dict(doc, kind, small_norm)
 
 
 class TestAtomicWrite:
@@ -294,12 +303,8 @@ class TestWriteJson:
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_text_is_never_held_whole(self, tmp_path):
-        """Writing the input pipeline of the default survey holds a small fraction of its text."""
-        norm, _ = dsm.normalize(dsm.synthesize(dsm.SynthEnvConfig(), seed=0))
-        pipe = ex.build_pipeline(
-            "input", loc.IdentityCompressor(norm.m), norm, [gp_map.GpHyperparams(1.0, 10.0, 0.05)]
-        )
-        doc = ex.pipeline_to_dict(pipe)
+        """Writing a 400 x 100 matrix of doubles, 0.95 MB of text, holds a small fraction of it."""
+        doc = {"rows": np.random.default_rng(0).normal(size=(400, 100)).tolist()}
         text_bytes = len(json.dumps(doc, indent=1))
 
         def traced_peak(call):
@@ -311,8 +316,8 @@ class TestWriteJson:
             finally:
                 tracemalloc.stop()
 
-        # json.dumps holds every chunk and then the joined text: 4.5x the 1.33 MB
-        # text here. The streamed write held 66 kB (0.05x), the text layer's
+        # json.dumps holds every chunk and then the joined text: 4.5x the
+        # text here. The streamed write held about 48 kB (0.05x), the text layer's
         # pending chunks, whatever the document's size.
         assert traced_peak(lambda: json.dumps(doc, indent=1)) > 2 * text_bytes
         assert traced_peak(lambda: ex._write_json(str(tmp_path / "p.json"), doc)) < text_bytes / 8
@@ -359,7 +364,7 @@ class TestManifest:
             ["dataset"] + [f"train:{label}" for label in labels]
             + ["gp_search", "write", "load", "evaluate", "report", "rank"]
         )
-        assert manifest["artifacts"][:3] == ["train.csv", "test.csv", "norm_stats.json"]
+        assert manifest["artifacts"][:3] == ["train.csv", "test.csv", "pipeline_input.json"]
         assert manifest["artifacts"][-2:] == ["summary.csv", "ranking.csv"]
         for label in labels:
             assert f"pipeline_{label}.json" in manifest["artifacts"]
@@ -448,12 +453,13 @@ class TestPipelineFuzz:
     @settings(max_examples=200, deadline=None)
     def test_rejected_or_scores(self, pipeline_docs, small_norm, data):
         """One mutated array: pipeline_from_dict raises a package error, or the pipeline scores a row."""
-        doc = copy.deepcopy(pipeline_docs[data.draw(st.sampled_from(KINDS))])
+        # An identity document holds no array.
+        doc = copy.deepcopy(pipeline_docs[data.draw(st.sampled_from(["pca", "autoencoder"]))])
         *keys, last = data.draw(st.sampled_from(_array_paths(doc)))
         parent = functools.reduce(operator.getitem, keys, doc)
         parent[last] = _ARRAY_MUTATIONS[data.draw(st.sampled_from(list(_ARRAY_MUTATIONS)))](parent[last])
         try:
-            pipe = ex.pipeline_from_dict(doc)
+            pipe = ex.pipeline_from_dict(doc, "p", small_norm)
         except RssAtlasError:
             return
         row = dsm.SurveyDataset(
@@ -499,6 +505,44 @@ class TestBuildPipeline:
         stages = json.loads((tmp_path / "manifest.json").read_text())["stage_seconds"]
         assert list(stages) == ["dataset", "train:input", "train:pca3", "train:distance_ae",
                                 "gp_search", "write"]
+
+    def test_evaluate_rebuilds_the_trained_maps_bit_for_bit(self, tmp_path, monkeypatch):
+        """The maps run_evaluate rebuilds from train.csv and the pipeline files
+        are the ones build_pipelines made in memory (A8's survey)."""
+        doc = {
+            "seed": 5, "output_dir": str(tmp_path),
+            "dataset": {"synth": {"area": [60, 40], "n_aps": 12, "shadowing_std_dbm": 3.0,
+                                  "shadowing_correlation_length_m": 1.0, "sample_spacing_m": 2.0}},
+            "split": {"test_fraction": 0.25, "mode": "random"},
+            "gp_grid": {"length_scales": [5, 10], "signal_variances": [0.5, 1.0],
+                        "noise_variances": [0.05, 0.1]},
+            "evaluation": {"cell_size": 2.0},
+            "compressors": [
+                {"kind": "identity"},
+                {"kind": "pca", "latent_dim": 4},
+                {"kind": "distance_ae",
+                 "train": {"latent_dim": 4, "hidden_dim": 10, "epochs": 5, "batch_size": 16}},
+            ],
+        }
+        built, rebuilt = [], []
+        build, load = ex.build_pipelines, ex.pipeline_from_dict
+
+        def recording_build(*args):
+            built.extend(build(*args))
+            return built
+
+        def recording_load(*args):
+            rebuilt.append(load(*args))
+            return rebuilt[-1]
+
+        monkeypatch.setattr(ex, "build_pipelines", recording_build)
+        monkeypatch.setattr(ex, "pipeline_from_dict", recording_load)
+        cfg = ex.config_from_dict(doc)
+        ex.run_train(cfg)
+        ex.run_evaluate(cfg)
+        assert [p.label for p in rebuilt] == [p.label for p in built] == ["input", "pca4", "distance_ae"]
+        for got, want in zip(rebuilt, built):
+            assert_same_map(got, want)
 
     def test_pca_dim_clipped_to_ap_count(self, train_norm):
         spec = ex.CompressorSpec(kind="pca", latent_dim=500)

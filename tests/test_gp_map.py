@@ -1,4 +1,3 @@
-import json
 import math
 import tracemalloc
 
@@ -286,6 +285,16 @@ class TestFit:
             gp_map.fit(X, Y, HP)
         with pytest.raises(DataError, match=f"^{where} has a non-finite entry"):
             gp_map.GpModel(X, HP, Y)
+
+    @pytest.mark.parametrize("key,value", [
+        ("X_train", [[1.0]] * 6), ("X_train", []), ("X_train", [[1.0, 2.0, 3.0]] * 6),
+        ("Y", [[0.0, 0.0]] * 5), ("Y", [0.0] * 6), ("Y", 0.0),
+    ], ids=["x_one_coordinate", "x_empty", "x_third_coordinate", "y_row_short", "y_flat", "y_scalar"])
+    def test_shapes_checked_before_factor(self, key, value, rng):
+        arrays = {"X_train": rng.uniform(0, 10, size=(6, 2)), "Y": rng.normal(size=(6, 2))}
+        arrays[key] = np.array(value, dtype=float)
+        with pytest.raises(DataError, match="X must be n x 2|rows but Y"):
+            gp_map.GpModel(arrays["X_train"], HP, arrays["Y"])
 
 
 def package_factor(X, hp):
@@ -686,30 +695,3 @@ class TestFitByEvidence:
         assert len({m.hyperparams for m in models}) > 1
         assert peak <= 3.5 * n * n * 8
 
-
-class TestSerialization:
-    def test_roundtrip(self, rng):
-        # Maps from fit and from the search, one of them at a candidate
-        # that needs the jitter retry (a duplicated location, no noise).
-        X = rng.uniform(0, 40, size=(30, 2))
-        X[1] = X[0]
-        Ys = gp_targets(rng, X, [(2, 5.0), (3, 12.0)])
-        grid = UNGROUPED_GRID + [GpHyperparams(1.0, 5.0, 0.0)]
-        models = [gp_map.fit(X, Ys[0], HP)] + gp_map.fit_by_evidence(X, Ys, grid)
-        models += gp_map.fit_by_evidence(X, Ys, grid[-1:])
-        for model in models:
-            back = gp_map.model_from_dict(json.loads(json.dumps(gp_map.model_to_dict(model))))
-            assert np.array_equal(back.X_train, model.X_train)
-            assert np.array_equal(back.Y, model.Y)
-            assert back.hyperparams == model.hyperparams
-
-    @pytest.mark.parametrize("key,value", [
-        ("X_train", [[1.0]] * 6), ("X_train", []), ("X_train", [[1.0, 2.0, 3.0]] * 6),
-        ("Y", [[0.0, 0.0]] * 5), ("Y", [0.0] * 6), ("Y", 0.0),
-    ], ids=["x_one_coordinate", "x_empty", "x_third_coordinate", "y_row_short", "y_flat", "y_scalar"])
-    def test_shapes_checked_before_factor(self, key, value, rng):
-        X = rng.uniform(0, 10, size=(6, 2))
-        doc = gp_map.model_to_dict(gp_map.fit(X, rng.normal(size=(6, 2)), HP))
-        doc[key] = value
-        with pytest.raises(DataError, match="X must be n x 2|rows but Y"):
-            gp_map.model_from_dict(doc)

@@ -138,6 +138,15 @@ class TestSerialization:
         assert np.array_equal(back.components, model.components)
         assert np.array_equal(back.eigenvalues, model.eigenvalues)
 
+    def test_reloaded_model_encodes_bit_identically(self, rng):
+        """A fitted model and its reloaded copy give the same projection bits;
+        F-ordered components would round it differently from the C-ordered
+        ones a reload makes."""
+        Z = rng.normal(size=(60, 16))
+        model = pca.fit(Z, 4)
+        back = pca.model_from_dict(json.loads(json.dumps(pca.model_to_dict(model))))
+        assert np.array_equal(pca.transform(back, Z), pca.transform(model, Z))
+
     @pytest.mark.parametrize("key,edit", [
         ("mean", lambda a: a[:-1]), ("components", lambda a: a[:-1]),
         ("components", lambda a: [row + [0.0] for row in a]), ("eigenvalues", lambda a: a[:-1]),
