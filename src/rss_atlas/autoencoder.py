@@ -112,6 +112,7 @@ class TrainConfig:
     adam_eps: float = 1e-8
     dropout_rate: float = 0.1
     bn_momentum: float = 0.9
+    holdout_fraction: float = 0.15
     seed: int = 0
 
     def __post_init__(self):
@@ -136,6 +137,8 @@ class TrainConfig:
             raise ConfigError("dropout_rate must lie in [0, 1)")
         if not 0.0 < self.bn_momentum < 1.0:
             raise ConfigError("bn_momentum must lie in (0, 1)")
+        if not 0.0 <= self.holdout_fraction < 1.0:
+            raise ConfigError(f"holdout_fraction must lie in [0, 1), got {self.holdout_fraction}")
 
 
 @dataclass
@@ -143,13 +146,18 @@ class TrainReport:
     """Per-epoch loss totals as seen by the optimizer, plus summary numbers.
 
     The distance term is recorded with its 1/batch_size^2 scaling applied,
-    i.e. exactly what was minimized. final_rmse is in the training data's
+    i.e. exactly what was minimized. heldout_mse has one entry per epoch
+    run: the held-out rows' reconstruction MSE where a check ran, None
+    elsewhere. best_epoch is the epoch whose state train returned.
+    final_rmse is over every row train was given, in the training data's
     units; final_rmse_dbm is filled in when normalization stats are given.
     """
 
     recon_losses: list[float] = field(default_factory=list)
     sparsity_losses: list[float] = field(default_factory=list)
     distance_losses: list[float] = field(default_factory=list)
+    heldout_mse: list[float | None] = field(default_factory=list)
+    best_epoch: int = 0
     final_rmse: float = float("nan")
     final_rmse_dbm: float | None = None
 
@@ -485,12 +493,48 @@ def _training_step(
     return losses, _backward_from_cache(params, batch, config, cache, g_dist, grads), cache
 
 
+# Early stopping on the held-out rows (Prechelt 1998; Goodfellow et al.,
+# Deep Learning, Algorithm 7.1): check every _CHECK_EVERY epochs and at the
+# last, stop after _PATIENCE checks in a row without a strict improvement.
+_CHECK_EVERY = 10
+_PATIENCE = 10
+
+
+def _split_rows(n: int, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted (fit, held-out) row indices of an n-row training set.
+
+    The first k rows of a permutation drawn from default_rng([seed, 99])
+    are held out, k = round(holdout_fraction * n) but never more than
+    n - batch_size: a survey of one batch or little more keeps every row it
+    cannot spare for fitting (at k = 0 no check runs). A survey smaller than
+    batch_size, or a nonzero fraction that rounds to no row, is a DataError.
+    """
+    if n < config.batch_size:
+        raise DataError(f"{n} fit rows are fewer than batch_size={config.batch_size}")
+    n_held = round(config.holdout_fraction * n)
+    if config.holdout_fraction > 0.0 and n_held == 0:
+        raise DataError(f"holdout_fraction={config.holdout_fraction} of n={n} rows holds out no row")
+    n_held = min(n_held, n - config.batch_size)
+    perm = np.random.default_rng([config.seed, 99]).permutation(n)
+    return np.sort(perm[n_held:]), np.sort(perm[:n_held])
+
+
 def train(
     ds: SurveyDataset,
     config: TrainConfig,
     stats: NormalizationStats | None = None,
 ) -> tuple[AutoencoderParams, TrainReport]:
-    """Minibatch Adam over shuffled epochs; deterministic given config.seed.
+    """Minibatch Adam over shuffled epochs with held-out early stopping.
+
+    config.holdout_fraction of the rows are held out (see _split_rows) and
+    every step draws its minibatch from the rest, the fit rows. Every
+    _CHECK_EVERY epochs and at epoch config.epochs, the inference-mode
+    reconstruction MSE of the held-out rows is taken; each strict
+    improvement keeps a copy of the tensors and the batch-norm running
+    statistics, training stops after _PATIENCE checks without one, and
+    the kept state is returned. epochs is the cap. With holdout_fraction 0
+    no row is held out, no check runs and every epoch's state is kept.
+    Deterministic given config.seed.
 
     The distance weight is divided by the square of each minibatch's size
     so the pairwise sum does not grow with batch size. Passing the
@@ -500,19 +544,19 @@ def train(
     (1-b1)*g, v = b2*v + (1-b2)*g*g and theta -= scale*m / (sqrt(v) + eps)
     over whole vectors, evaluated in place in two scratch vectors.
 
-    Input rows do not change between epochs, so when lambda_d is nonzero
-    their n x n squared distances are computed once per call (8*n^2 bytes:
-    1.4 MB at 418 rows) and each step indexes its batch out of them. With
+    Fit rows do not change between epochs, so when lambda_d is nonzero
+    their squared distances are computed once per call (8*n^2 bytes: 1.0 MB
+    at 355 fit rows) and each step indexes its batch out of them. With
     lambda_d 0 no distances are computed and every distance loss is 0.0;
     a diverging latent still shows as a non-finite sparsity total. A
     non-finite epoch total raises, so overflow warnings are silenced.
     """
     if not ds.normalized:
         raise DataError("train expects a normalized dataset")
-    if ds.n < config.batch_size:
-        raise DataError(f"n={ds.n} is smaller than batch_size={config.batch_size}")
+    fit_rows, held_rows = _split_rows(ds.n, config)
 
-    Z = ds.Z
+    Z, Z_held = ds.Z[fit_rows], ds.Z[held_rows]
+    n = Z.shape[0]
     params = init_params(ds.m, config)
     params.train_config = config
     report = TrainReport()
@@ -527,12 +571,14 @@ def train(
     m, v, s1, s2 = (np.zeros_like(theta) for _ in range(4))
     step = 0
     b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
+    bn_layers = (params.enc_hidden, params.dec_hidden)
+    best_mse, best, misses = math.inf, None, 0
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(config.epochs):
-            perm = rng.permutation(ds.n)
+        for epoch in range(1, config.epochs + 1):
+            perm = rng.permutation(n)
             ep_recon = ep_sparse = ep_dist = 0.0
-            for start in range(0, ds.n, config.batch_size):
+            for start in range(0, n, config.batch_size):
                 idx = perm[start:start + config.batch_size]
                 if idx.size < 2:
                     continue  # batch norm is undefined on a single row
@@ -565,28 +611,55 @@ def train(
             total = ep_recon + ep_sparse + ep_dist
             if not math.isfinite(total):
                 raise TrainingDivergedError(
-                    f"non-finite training loss at epoch {epoch + 1} "
+                    f"non-finite training loss at epoch {epoch} "
                     f"(recon={ep_recon:g}, sparsity={ep_sparse:g}, distance={ep_dist:g})"
                 )
             report.recon_losses.append(ep_recon)
             report.sparsity_losses.append(ep_sparse)
             report.distance_losses.append(ep_dist)
 
-    report.final_rmse = reconstruction_rmse(params, Z)
+            mse = None
+            if held_rows.size and (epoch % _CHECK_EVERY == 0 or epoch == config.epochs):
+                mse = _reconstruction_mse(params, Z_held)
+            report.heldout_mse.append(mse)
+            if mse is None:
+                continue
+            if mse < best_mse:
+                best_mse, misses = mse, 0
+                running = [(layer.bn_running_mean.copy(), layer.bn_running_var.copy()) for layer in bn_layers]
+                best = (epoch, theta.copy(), running)
+            else:
+                misses += 1
+                if misses == _PATIENCE:
+                    break
+
+    report.best_epoch = len(report.recon_losses)
+    if best is not None:
+        report.best_epoch, best_theta, running = best
+        np.copyto(theta, best_theta)
+        for layer, (mean, var) in zip(bn_layers, running):
+            layer.bn_running_mean, layer.bn_running_var = mean, var
+    report.final_rmse = reconstruction_rmse(params, ds.Z)
     if stats is not None:
-        report.final_rmse_dbm = reconstruction_rmse(params, Z, stats)
+        report.final_rmse_dbm = reconstruction_rmse(params, ds.Z, stats)
     return params, report
+
+
+def _reconstruction_mse(
+    params: AutoencoderParams, Z: np.ndarray, stats: NormalizationStats | None = None
+) -> float:
+    """Mean squared round-trip error over all entries; stats rescale errors to dBm."""
+    err = Z - decode(params, encode(params, Z))
+    if stats is not None:
+        err = err * stats.per_ap_std
+    return float(np.mean(err * err))
 
 
 def reconstruction_rmse(
     params: AutoencoderParams, Z: np.ndarray, stats: NormalizationStats | None = None
 ) -> float:
     """Round-trip RMSE over all entries; stats rescale errors to dBm."""
-    recon = decode(params, encode(params, Z))
-    err = Z - recon
-    if stats is not None:
-        err = err * stats.per_ap_std
-    return float(np.sqrt(np.mean(err * err)))
+    return math.sqrt(_reconstruction_mse(params, Z, stats))
 
 
 def encode(params: AutoencoderParams, Z: np.ndarray) -> np.ndarray:

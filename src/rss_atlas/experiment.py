@@ -499,18 +499,21 @@ def run_train(cfg: ExperimentConfig, manifest: Manifest | None = None) -> list[s
         path = os.path.join(outdir, f"pipeline_{label}.json")
         _write_json(path, pipeline_to_dict(pipeline))
         manifest.artifact(path)
-        trained = [None, None, None]  # empty cells for a compressor without a report
+        trained = [None] * 4  # empty cells for a compressor without a report
         if report is not None:
             path = os.path.join(outdir, f"train_report_{label}.csv")
-            losses = zip(report.recon_losses, report.sparsity_losses, report.distance_losses)
-            ds_mod.write_csv(path, ["epoch", "reconstruction", "sparsity", "distance"],
+            losses = zip(report.recon_losses, report.sparsity_losses, report.distance_losses,
+                         report.heldout_mse)
+            ds_mod.write_csv(path, ["epoch", "reconstruction", "sparsity", "distance", "heldout_mse"],
                              ([e, *loss] for e, loss in enumerate(losses, 1)))
             manifest.artifact(path)
-            trained = [report.final_rmse, report.final_rmse_dbm, len(report.recon_losses)]
+            trained = [report.final_rmse, report.final_rmse_dbm, len(report.recon_losses),
+                       report.best_epoch]
         summary.append([label, spec.kind, compressor.latent_dim, *trained])
 
     ds_mod.write_csv(os.path.join(outdir, "training_summary.csv"),
-                     ["label", "kind", "latent_dim", "final_rmse", "final_rmse_dbm", "epochs"], summary)
+                     ["label", "kind", "latent_dim", "final_rmse", "final_rmse_dbm", "epochs", "best_epoch"],
+                     summary)
     manifest.artifact("training_summary.csv")
     manifest.stage("write")
     if own_manifest:

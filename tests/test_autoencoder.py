@@ -520,7 +520,7 @@ class TestTrain:
         assert norm.n % 48 == 1 and norm.m > 17
         cfg = ae.TrainConfig(
             latent_dim=latent_dim, hidden_dim=12, epochs=3, batch_size=48,
-            lambda_d=lambda_d, dropout_rate=dropout_rate, seed=6,
+            lambda_d=lambda_d, dropout_rate=dropout_rate, holdout_fraction=0.0, seed=6,
         )
         params, report = ae.train(norm, cfg)
         want, want_losses = frozen_reference_train(norm, cfg)
@@ -547,7 +547,8 @@ class TestTrain:
 
         monkeypatch.setattr(ae, "forward", counting_forward)
         ae.train(norm, ae.TrainConfig(latent_dim=4, hidden_dim=8, epochs=3, batch_size=48, seed=0))
-        # 193 rows: four 48-row batches per epoch; the one-row remainder is skipped.
+        # 164 fit rows of 193 (29 held out): four 48-row batches per epoch.
+        # The held-out check runs through encode and decode, not forward.
         assert modes == ["training"] * 12
 
     @pytest.mark.parametrize("lambda_d", [1e-3, 0.0])
@@ -556,7 +557,7 @@ class TestTrain:
         norm, _ = small_survey_normalized
         cfg = ae.TrainConfig(
             latent_dim=4, hidden_dim=12, epochs=3, batch_size=48, lambda_d=lambda_d,
-            dropout_rate=0.2, seed=4,
+            dropout_rate=0.2, holdout_fraction=0.0, seed=4,
         )
         params, report = ae.train(norm, cfg)
         want, want_losses = per_key_adam_train(norm, cfg)
@@ -625,6 +626,117 @@ class TestTrain:
         )
         with pytest.raises(TrainingDivergedError, match="epoch"):
             ae.train(norm, cfg)
+
+
+def assert_same_state(got, want):
+    """Every tensor and both layers' batch-norm running statistics agree bit for bit."""
+    for key in ae.PARAM_KEYS:
+        assert np.array_equal(got.get_tensor(key), want.get_tensor(key)), key
+    for layer in ("enc_hidden", "dec_hidden"):
+        a, b = getattr(got, layer), getattr(want, layer)
+        assert np.array_equal(a.bn_running_mean, b.bn_running_mean), layer
+        assert np.array_equal(a.bn_running_var, b.bn_running_var), layer
+
+
+# A learning rate 30x the default overfits the small survey's 164 fit rows
+# early, so the held-out rule stops the run far below its cap.
+FAST_CFG = ae.TrainConfig(
+    latent_dim=4, hidden_dim=12, epochs=1000, batch_size=32, learning_rate=0.03, seed=3,
+)
+
+
+class TestEarlyStopping:
+    @pytest.fixture(scope="class")
+    def stopped(self, small_survey_normalized):
+        norm, stats = small_survey_normalized
+        return ae.train(norm, FAST_CFG, stats)
+
+    def test_stopped_run_equals_run_to_its_best_epoch(self, small_survey_normalized, stopped):
+        norm, stats = small_survey_normalized
+        params, report = stopped
+        b = report.best_epoch
+        run = len(report.recon_losses)
+        assert run == b + ae._CHECK_EVERY * ae._PATIENCE < FAST_CFG.epochs
+        checked = [e for e, mse in enumerate(report.heldout_mse, 1) if mse is not None]
+        assert checked == list(range(ae._CHECK_EVERY, run + 1, ae._CHECK_EVERY))
+        assert report.heldout_mse[b - 1] == min(mse for mse in report.heldout_mse if mse is not None)
+        assert all(mse > report.heldout_mse[b - 1] for mse in report.heldout_mse[b:] if mse is not None)
+
+        short, short_report = ae.train(norm, replace(FAST_CFG, epochs=b), stats)
+        assert_same_state(params, short)
+        assert short_report.best_epoch == b
+        assert short_report.recon_losses == report.recon_losses[:b]
+        assert short_report.heldout_mse == report.heldout_mse[:b]
+        assert (short_report.final_rmse, short_report.final_rmse_dbm) == (
+            report.final_rmse, report.final_rmse_dbm
+        )
+
+    def test_final_rmse_covers_every_row(self, small_survey_normalized, stopped):
+        norm, stats = small_survey_normalized
+        params, report = stopped
+        assert report.final_rmse == ae.reconstruction_rmse(params, norm.Z)
+        assert report.final_rmse_dbm == ae.reconstruction_rmse(params, norm.Z, stats)
+
+    def test_same_seed_reruns_are_identical(self, small_survey_normalized, stopped):
+        norm, stats = small_survey_normalized
+        params, report = stopped
+        again, again_report = ae.train(norm, FAST_CFG, stats)
+        assert_same_state(again, params)
+        assert again_report == report
+
+    def test_heldout_rows_never_enter_a_step(self, small_survey_normalized, rng):
+        norm, _ = small_survey_normalized
+        cfg = replace(FAST_CFG, epochs=9)
+        fit, held = ae._split_rows(norm.n, cfg)
+        assert held.size == round(0.15 * norm.n) and fit.size + held.size == norm.n
+        assert np.array_equal(np.sort(np.concatenate([fit, held])), np.arange(norm.n))
+        assert np.all(np.diff(fit) > 0) and np.all(np.diff(held) > 0)
+        Z = norm.Z.copy()
+        Z[held] = rng.normal(size=(held.size, norm.m))
+        base, _ = ae.train(norm, cfg)
+        moved, _ = ae.train(replace(norm, Z=Z), cfg)
+        assert_same_state(moved, base)
+        Z[fit[0]] += 1.0
+        touched, _ = ae.train(replace(norm, Z=Z), cfg)
+        assert not np.array_equal(touched.enc_hidden.weights, base.enc_hidden.weights)
+
+    def test_zero_fraction_runs_every_epoch_unchecked(self, small_survey_normalized):
+        norm, _ = small_survey_normalized
+        cfg = replace(FAST_CFG, epochs=25, holdout_fraction=0.0)
+        _, report = ae.train(norm, cfg)
+        assert report.heldout_mse == [None] * 25
+        assert report.best_epoch == 25 == len(report.recon_losses)
+
+    def test_survey_smaller_than_batch_size(self, small_survey_normalized):
+        norm, _ = small_survey_normalized
+        with pytest.raises(DataError, match=rf"^{norm.n} fit rows are fewer than batch_size={norm.n + 1}$"):
+            ae.train(norm, replace(FAST_CFG, batch_size=norm.n + 1))
+
+    @pytest.mark.parametrize("fraction", [0.15, 0.9])
+    def test_held_out_split_leaves_at_least_one_batch(self, small_survey_normalized, fraction):
+        norm, _ = small_survey_normalized
+        batch = norm.n - 20
+        fit, held = ae._split_rows(norm.n, replace(FAST_CFG, holdout_fraction=fraction, batch_size=batch))
+        assert (fit.size, held.size) == (batch, 20)
+
+    def test_survey_of_one_batch_trains_as_with_no_holdout(self, small_survey_normalized):
+        norm, _ = small_survey_normalized
+        cfg = replace(FAST_CFG, epochs=12, batch_size=norm.n)
+        params, report = ae.train(norm, cfg)
+        want, want_report = ae.train(norm, replace(cfg, holdout_fraction=0.0))
+        assert_same_state(params, want)
+        assert report == want_report
+        assert report.heldout_mse == [None] * 12
+
+    def test_fraction_that_holds_out_no_row(self, small_survey_normalized):
+        norm, _ = small_survey_normalized
+        with pytest.raises(DataError, match=rf"holdout_fraction=0.001 of n={norm.n} rows holds out no row"):
+            ae.train(norm, replace(FAST_CFG, holdout_fraction=0.001))
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.0, 1.5])
+    def test_fraction_outside_unit_interval(self, fraction):
+        with pytest.raises(ConfigError, match="holdout_fraction must lie in"):
+            ae.TrainConfig(holdout_fraction=fraction)
 
 
 @pytest.fixture(scope="module")

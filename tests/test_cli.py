@@ -113,14 +113,22 @@ class TestTrainCommand:
 
     def test_ae_training_writes_report(self, tmp_path):
         doc = tiny_config(tmp_path / "out")
+        # 16 training rows: 8-row batches leave room for 2 held-out rows.
+        doc["compressors"][2]["train"]["batch_size"] = 8
         cfg = write_config(tmp_path, doc)
         assert cli.main(["train", "--config", cfg]) == 0
         outdir = tmp_path / "out"
         report = (outdir / "train_report_distance_ae.csv").read_text().splitlines()
-        assert report[0] == "epoch,reconstruction,sparsity,distance"
+        assert report[0] == "epoch,reconstruction,sparsity,distance,heldout_mse"
         assert len(report) == 61
-        summary = (outdir / "training_summary.csv").read_text()
-        assert "distance_ae" in summary
+        # A held-out check every 10 epochs; the other cells are empty.
+        checked = [line.split(",")[4] != "" for line in report[1:]]
+        assert [e for e, c in enumerate(checked, 1) if c] == list(range(10, 61, 10))
+        summary = (outdir / "training_summary.csv").read_text().splitlines()
+        assert summary[0] == "label,kind,latent_dim,final_rmse,final_rmse_dbm,epochs,best_epoch"
+        row = dict(zip(summary[0].split(","), summary[3].split(",")))
+        assert row["label"] == "distance_ae" and row["epochs"] == "60"
+        assert int(row["best_epoch"]) in range(10, 61, 10)
 
     def test_rerun_identical_models(self, tmp_path):
         doc = tiny_config(tmp_path / "out")
@@ -523,6 +531,22 @@ FAILURES = {
     "fractional_epochs": (_ae_train_value("epochs", 2.5), 1, "epochs must be an integer"),
     "boolean_epochs": (_ae_train_value("epochs", True), 1, "epochs must be a number"),
     "boolean_lambda_d": (_ae_train_value("lambda_d", False), 1, "lambda_d must be a number"),
+    "nan_holdout_fraction": (
+        _ae_train_value("holdout_fraction", float("nan")), 1, "holdout_fraction must be finite"
+    ),
+    "holdout_fraction_one": (
+        _ae_train_value("holdout_fraction", 1.0), 1, "holdout_fraction must lie in [0, 1)"
+    ),
+    "negative_holdout_fraction": (
+        _ae_train_value("holdout_fraction", -0.1), 1, "holdout_fraction must lie in [0, 1)"
+    ),
+    "boolean_holdout_fraction": (
+        _ae_train_value("holdout_fraction", True), 1, "holdout_fraction must be a number"
+    ),
+    "too_few_fit_rows": (
+        _compressors({"kind": "sparse_ae", "train": {"batch_size": 17}}), 2,
+        "16 fit rows are fewer than batch_size=17",
+    ),
     "fractional_n_aps": (_set("dataset", "synth", "n_aps", value=2.5), 1, "synth.n_aps must be an integer"),
     "boolean_n_aps": (_set("dataset", "synth", "n_aps", value=True), 1, "synth.n_aps must be a number"),
     "nan_sample_spacing": (
