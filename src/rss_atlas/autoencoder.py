@@ -112,7 +112,6 @@ class TrainConfig:
     adam_eps: float = 1e-8
     dropout_rate: float = 0.1
     bn_momentum: float = 0.9
-    holdout_fraction: float = 0.15
     seed: int = 0
 
     def __post_init__(self):
@@ -137,8 +136,6 @@ class TrainConfig:
             raise ConfigError("dropout_rate must lie in [0, 1)")
         if not 0.0 < self.bn_momentum < 1.0:
             raise ConfigError("bn_momentum must lie in (0, 1)")
-        if not 0.0 <= self.holdout_fraction < 1.0:
-            raise ConfigError(f"holdout_fraction must lie in [0, 1), got {self.holdout_fraction}")
 
 
 @dataclass
@@ -494,8 +491,10 @@ def _training_step(
 
 
 # Early stopping on the held-out rows (Prechelt 1998; Goodfellow et al.,
-# Deep Learning, Algorithm 7.1): check every _CHECK_EVERY epochs and at the
-# last, stop after _PATIENCE checks in a row without a strict improvement.
+# Deep Learning, Algorithm 7.1): hold out _HOLDOUT_FRACTION of the rows,
+# check every _CHECK_EVERY epochs and at the last, stop after _PATIENCE
+# checks in a row without a strict improvement.
+_HOLDOUT_FRACTION = 0.15
 _CHECK_EVERY = 10
 _PATIENCE = 10
 
@@ -504,17 +503,14 @@ def _split_rows(n: int, config: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     """Sorted (fit, held-out) row indices of an n-row training set.
 
     The first k rows of a permutation drawn from default_rng([seed, 99])
-    are held out, k = round(holdout_fraction * n) but never more than
+    are held out, k = round(_HOLDOUT_FRACTION * n) but never more than
     n - batch_size: a survey of one batch or little more keeps every row it
     cannot spare for fitting (at k = 0 no check runs). A survey smaller than
-    batch_size, or a nonzero fraction that rounds to no row, is a DataError.
+    batch_size is a DataError.
     """
     if n < config.batch_size:
-        raise DataError(f"{n} fit rows are fewer than batch_size={config.batch_size}")
-    n_held = round(config.holdout_fraction * n)
-    if config.holdout_fraction > 0.0 and n_held == 0:
-        raise DataError(f"holdout_fraction={config.holdout_fraction} of n={n} rows holds out no row")
-    n_held = min(n_held, n - config.batch_size)
+        raise DataError(f"{n} rows are fewer than batch_size={config.batch_size}")
+    n_held = min(round(_HOLDOUT_FRACTION * n), n - config.batch_size)
     perm = np.random.default_rng([config.seed, 99]).permutation(n)
     return np.sort(perm[n_held:]), np.sort(perm[:n_held])
 
@@ -526,14 +522,14 @@ def train(
 ) -> tuple[AutoencoderParams, TrainReport]:
     """Minibatch Adam over shuffled epochs with held-out early stopping.
 
-    config.holdout_fraction of the rows are held out (see _split_rows) and
+    _HOLDOUT_FRACTION of the rows are held out (see _split_rows) and
     every step draws its minibatch from the rest, the fit rows. Every
     _CHECK_EVERY epochs and at epoch config.epochs, the inference-mode
     reconstruction MSE of the held-out rows is taken; each strict
     improvement keeps a copy of the tensors and the batch-norm running
     statistics, training stops after _PATIENCE checks without one, and
-    the kept state is returned. epochs is the cap. With holdout_fraction 0
-    no row is held out, no check runs and every epoch's state is kept.
+    the kept state is returned. epochs is the cap. When no row is held out,
+    no check runs and every epoch's state is kept.
     Deterministic given config.seed.
 
     The distance weight is divided by the square of each minibatch's size
@@ -626,7 +622,8 @@ def train(
                 continue
             if mse < best_mse:
                 best_mse, misses = mse, 0
-                running = [(layer.bn_running_mean.copy(), layer.bn_running_var.copy()) for layer in bn_layers]
+                # Running statistics are rebound each step, never written in place.
+                running = [(layer.bn_running_mean, layer.bn_running_var) for layer in bn_layers]
                 best = (epoch, theta.copy(), running)
             else:
                 misses += 1

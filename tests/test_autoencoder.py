@@ -512,15 +512,17 @@ class TestTrain:
     @pytest.mark.parametrize("dropout_rate", [0.0, 0.2])
     @pytest.mark.parametrize("latent_dim", [1, 4, 7, 8, 9, 16, 17])
     def test_step_equals_frozen_reference(
-        self, wide_survey_normalized, latent_dim, dropout_rate, lambda_d
+        self, wide_survey_normalized, latent_dim, dropout_rate, lambda_d, monkeypatch
     ):
-        # 193 rows in 48-row batches leave one row, which is skipped. The
-        # latent sizes straddle the 8-term branch of the pairwise sum.
+        # With no row held out, 193 rows in 48-row batches leave one row,
+        # which is skipped. The latent sizes straddle the 8-term branch of
+        # the pairwise sum.
+        monkeypatch.setattr(ae, "_HOLDOUT_FRACTION", 0.0)
         norm = wide_survey_normalized
         assert norm.n % 48 == 1 and norm.m > 17
         cfg = ae.TrainConfig(
             latent_dim=latent_dim, hidden_dim=12, epochs=3, batch_size=48,
-            lambda_d=lambda_d, dropout_rate=dropout_rate, holdout_fraction=0.0, seed=6,
+            lambda_d=lambda_d, dropout_rate=dropout_rate, seed=6,
         )
         params, report = ae.train(norm, cfg)
         want, want_losses = frozen_reference_train(norm, cfg)
@@ -552,12 +554,14 @@ class TestTrain:
         assert modes == ["training"] * 12
 
     @pytest.mark.parametrize("lambda_d", [1e-3, 0.0])
-    def test_flat_adam_equals_per_key_adam(self, small_survey_normalized, lambda_d):
-        # 193 rows in 48-row batches leave one row, which is skipped.
+    def test_flat_adam_equals_per_key_adam(self, small_survey_normalized, lambda_d, monkeypatch):
+        # With no row held out, 193 rows in 48-row batches leave one row,
+        # which is skipped.
+        monkeypatch.setattr(ae, "_HOLDOUT_FRACTION", 0.0)
         norm, _ = small_survey_normalized
         cfg = ae.TrainConfig(
             latent_dim=4, hidden_dim=12, epochs=3, batch_size=48, lambda_d=lambda_d,
-            dropout_rate=0.2, holdout_fraction=0.0, seed=4,
+            dropout_rate=0.2, seed=4,
         )
         params, report = ae.train(norm, cfg)
         want, want_losses = per_key_adam_train(norm, cfg)
@@ -688,7 +692,7 @@ class TestEarlyStopping:
         norm, _ = small_survey_normalized
         cfg = replace(FAST_CFG, epochs=9)
         fit, held = ae._split_rows(norm.n, cfg)
-        assert held.size == round(0.15 * norm.n) and fit.size + held.size == norm.n
+        assert held.size == round(ae._HOLDOUT_FRACTION * norm.n) and fit.size + held.size == norm.n
         assert np.array_equal(np.sort(np.concatenate([fit, held])), np.arange(norm.n))
         assert np.all(np.diff(fit) > 0) and np.all(np.diff(held) > 0)
         Z = norm.Z.copy()
@@ -700,43 +704,47 @@ class TestEarlyStopping:
         touched, _ = ae.train(replace(norm, Z=Z), cfg)
         assert not np.array_equal(touched.enc_hidden.weights, base.enc_hidden.weights)
 
-    def test_zero_fraction_runs_every_epoch_unchecked(self, small_survey_normalized):
+    def test_zero_fraction_runs_every_epoch_unchecked(self, small_survey_normalized, monkeypatch):
+        monkeypatch.setattr(ae, "_HOLDOUT_FRACTION", 0.0)
         norm, _ = small_survey_normalized
-        cfg = replace(FAST_CFG, epochs=25, holdout_fraction=0.0)
-        _, report = ae.train(norm, cfg)
+        _, report = ae.train(norm, replace(FAST_CFG, epochs=25))
         assert report.heldout_mse == [None] * 25
         assert report.best_epoch == 25 == len(report.recon_losses)
 
     def test_survey_smaller_than_batch_size(self, small_survey_normalized):
         norm, _ = small_survey_normalized
-        with pytest.raises(DataError, match=rf"^{norm.n} fit rows are fewer than batch_size={norm.n + 1}$"):
+        with pytest.raises(DataError, match=rf"^{norm.n} rows are fewer than batch_size={norm.n + 1}$"):
             ae.train(norm, replace(FAST_CFG, batch_size=norm.n + 1))
 
     @pytest.mark.parametrize("fraction", [0.15, 0.9])
-    def test_held_out_split_leaves_at_least_one_batch(self, small_survey_normalized, fraction):
+    def test_held_out_split_leaves_at_least_one_batch(self, small_survey_normalized, fraction, monkeypatch):
+        monkeypatch.setattr(ae, "_HOLDOUT_FRACTION", fraction)
         norm, _ = small_survey_normalized
         batch = norm.n - 20
-        fit, held = ae._split_rows(norm.n, replace(FAST_CFG, holdout_fraction=fraction, batch_size=batch))
+        fit, held = ae._split_rows(norm.n, replace(FAST_CFG, batch_size=batch))
         assert (fit.size, held.size) == (batch, 20)
 
-    def test_survey_of_one_batch_trains_as_with_no_holdout(self, small_survey_normalized):
+    def test_survey_of_one_batch_trains_as_with_no_holdout(self, small_survey_normalized, monkeypatch):
         norm, _ = small_survey_normalized
         cfg = replace(FAST_CFG, epochs=12, batch_size=norm.n)
         params, report = ae.train(norm, cfg)
-        want, want_report = ae.train(norm, replace(cfg, holdout_fraction=0.0))
+        monkeypatch.setattr(ae, "_HOLDOUT_FRACTION", 0.0)
+        want, want_report = ae.train(norm, cfg)
         assert_same_state(params, want)
         assert report == want_report
         assert report.heldout_mse == [None] * 12
 
-    def test_fraction_that_holds_out_no_row(self, small_survey_normalized):
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tiny_survey_of_one_batch_trains_every_row(self, small_survey_normalized, n):
+        # round(0.15 * 3) is 0 and the cap n - batch_size is 0 too: no row
+        # is held out, no check runs and every epoch is kept.
         norm, _ = small_survey_normalized
-        with pytest.raises(DataError, match=rf"holdout_fraction=0.001 of n={norm.n} rows holds out no row"):
-            ae.train(norm, replace(FAST_CFG, holdout_fraction=0.001))
-
-    @pytest.mark.parametrize("fraction", [-0.1, 1.0, 1.5])
-    def test_fraction_outside_unit_interval(self, fraction):
-        with pytest.raises(ConfigError, match="holdout_fraction must lie in"):
-            ae.TrainConfig(holdout_fraction=fraction)
+        tiny = replace(norm, X=norm.X[:n], Z=norm.Z[:n])
+        fit, held = ae._split_rows(n, replace(FAST_CFG, batch_size=n))
+        assert (fit.size, held.size) == (n, 0)
+        _, report = ae.train(tiny, replace(FAST_CFG, epochs=5, batch_size=n))
+        assert report.heldout_mse == [None] * 5
+        assert report.best_epoch == 5 == len(report.recon_losses)
 
 
 @pytest.fixture(scope="module")

@@ -531,21 +531,9 @@ FAILURES = {
     "fractional_epochs": (_ae_train_value("epochs", 2.5), 1, "epochs must be an integer"),
     "boolean_epochs": (_ae_train_value("epochs", True), 1, "epochs must be a number"),
     "boolean_lambda_d": (_ae_train_value("lambda_d", False), 1, "lambda_d must be a number"),
-    "nan_holdout_fraction": (
-        _ae_train_value("holdout_fraction", float("nan")), 1, "holdout_fraction must be finite"
-    ),
-    "holdout_fraction_one": (
-        _ae_train_value("holdout_fraction", 1.0), 1, "holdout_fraction must lie in [0, 1)"
-    ),
-    "negative_holdout_fraction": (
-        _ae_train_value("holdout_fraction", -0.1), 1, "holdout_fraction must lie in [0, 1)"
-    ),
-    "boolean_holdout_fraction": (
-        _ae_train_value("holdout_fraction", True), 1, "holdout_fraction must be a number"
-    ),
     "too_few_fit_rows": (
         _compressors({"kind": "sparse_ae", "train": {"batch_size": 17}}), 2,
-        "16 fit rows are fewer than batch_size=17",
+        "16 rows are fewer than batch_size=17",
     ),
     "fractional_n_aps": (_set("dataset", "synth", "n_aps", value=2.5), 1, "synth.n_aps must be an integer"),
     "boolean_n_aps": (_set("dataset", "synth", "n_aps", value=True), 1, "synth.n_aps must be a number"),

@@ -397,7 +397,7 @@ def _schema_doc():
 
     synth = fields(["area", "n_aps", "floor_dbm", "waypoints", "sample_spacing_m",
                     "path_loss_exponent", "shadowing_correlation_length_m", "extra"])
-    train = fields(["latent_dim", "epochs", "lambda_d", "holdout_fraction", "distance_mode", "seed", "extra"])
+    train = fields(["latent_dim", "epochs", "lambda_d", "distance_mode", "seed", "extra"])
     compressor = st.fixed_dictionaries({}, optional={
         "kind": _JSONISH, "latent_dim": _JSONISH, "extra": _JSONISH,
         "label": st.sampled_from(["input", "pca3", "a,b", "", "../x"]) | _JSONISH,
