@@ -23,6 +23,9 @@ from .dataset import SurveyDataset, NormalizationStats
 from .errors import ConfigError, DataError, TrainingDivergedError, check_numbers
 
 BN_EPS = 1e-5
+BN_MOMENTUM = 0.9
+# Adam's step constants, the defaults of Kingma & Ba, "Adam" (ICLR 2015).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 PARAM_KEYS = (
     "enc_hidden.weights", "enc_hidden.biases", "enc_hidden.bn_gamma", "enc_hidden.bn_beta",
@@ -50,8 +53,8 @@ class LayerParams:
 class AutoencoderParams:
     """Encoder and decoder weights plus batch-norm state.
 
-    Dimension chain: input_dim -> hidden_dims[0] -> latent_dim ->
-    hidden_dims[1] -> input_dim, with latent_dim < input_dim enforced.
+    Dimension chain: input_dim -> hidden_dim -> latent_dim -> hidden_dim
+    -> input_dim, with latent_dim < input_dim enforced.
     Construction checks every tensor's shape against the chain: the two
     hidden layers hold all four batch-norm vectors, the two heads none.
     """
@@ -62,20 +65,16 @@ class AutoencoderParams:
     dec_out: LayerParams
     input_dim: int
     latent_dim: int
-    hidden_dims: tuple[int, int]
-    train_config: "TrainConfig | None" = None
+    hidden_dim: int
 
     def __post_init__(self):
-        if np.shape(self.hidden_dims) != (2,):
-            raise ConfigError(f"hidden_dims must be a pair, got {self.hidden_dims!r}")
-        self.hidden_dims = tuple(self.hidden_dims)
         if not self.latent_dim < self.input_dim:
             raise ConfigError(
                 f"latent_dim {self.latent_dim} must be smaller than input_dim {self.input_dim}"
             )
-        h_enc, h_dec = self.hidden_dims
-        chain = (("enc_hidden", h_enc, self.input_dim), ("enc_out", self.latent_dim, h_enc),
-                 ("dec_hidden", h_dec, self.latent_dim), ("dec_out", self.input_dim, h_dec))
+        h = self.hidden_dim
+        chain = (("enc_hidden", h, self.input_dim), ("enc_out", self.latent_dim, h),
+                 ("dec_hidden", h, self.latent_dim), ("dec_out", self.input_dim, h))
         for name, width, fan_in in chain:
             bn = (width,) if name.endswith("hidden") else None
             want = {"weights": (width, fan_in), "biases": (width,), **dict.fromkeys(_BN_KEYS, bn)}
@@ -107,11 +106,7 @@ class TrainConfig:
     batch_size: int = 64
     epochs: int = 2000
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     dropout_rate: float = 0.1
-    bn_momentum: float = 0.9
     seed: int = 0
 
     def __post_init__(self):
@@ -128,14 +123,8 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0")
         if not self.learning_rate > 0:
             raise ConfigError("learning_rate must be > 0")
-        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
-            raise ConfigError("adam_beta1 and adam_beta2 must lie in [0, 1)")
-        if not self.adam_eps > 0:
-            raise ConfigError("adam_eps must be > 0")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError("dropout_rate must lie in [0, 1)")
-        if not 0.0 < self.bn_momentum < 1.0:
-            raise ConfigError("bn_momentum must lie in (0, 1)")
 
 
 @dataclass
@@ -182,7 +171,7 @@ def init_params(input_dim: int, config: TrainConfig) -> AutoencoderParams:
         enc_out=dense(c, h, False),
         dec_hidden=dense(h, c, True),
         dec_out=dense(input_dim, h, False),
-        input_dim=input_dim, latent_dim=c, hidden_dims=(h, h),
+        input_dim=input_dim, latent_dim=c, hidden_dim=h,
     )
 
 
@@ -460,9 +449,10 @@ def _tensor_views(vec: np.ndarray, params: AutoencoderParams) -> list[np.ndarray
     return [v.reshape(params.get_tensor(k).shape) for k, v in zip(PARAM_KEYS, np.split(vec, ends))]
 
 
-def _update_running_stats(layer: LayerParams, cache, momentum: float) -> None:
-    layer.bn_running_mean = momentum * layer.bn_running_mean + (1.0 - momentum) * cache["batch_mean"]
-    layer.bn_running_var = momentum * layer.bn_running_var + (1.0 - momentum) * cache["batch_var"]
+def _update_running_stats(layer: LayerParams, cache) -> None:
+    mom = BN_MOMENTUM
+    layer.bn_running_mean = mom * layer.bn_running_mean + (1.0 - mom) * cache["batch_mean"]
+    layer.bn_running_var = mom * layer.bn_running_var + (1.0 - mom) * cache["batch_var"]
 
 
 def _training_step(
@@ -538,7 +528,8 @@ def train(
     tensors are views of one vector theta and each step writes its
     gradients into views of one vector g, so an Adam step is m = b1*m +
     (1-b1)*g, v = b2*v + (1-b2)*g*g and theta -= scale*m / (sqrt(v) + eps)
-    over whole vectors, evaluated in place in two scratch vectors.
+    over whole vectors, evaluated in place in two scratch vectors, with
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS.
 
     Fit rows do not change between epochs, so when lambda_d is nonzero
     their squared distances are computed once per call (8*n^2 bytes: 1.0 MB
@@ -554,7 +545,6 @@ def train(
     Z, Z_held = ds.Z[fit_rows], ds.Z[held_rows]
     n = Z.shape[0]
     params = init_params(ds.m, config)
-    params.train_config = config
     report = TrainReport()
     Dz = _pairwise_sq_dists(Z) if config.lambda_d != 0.0 else None
 
@@ -566,7 +556,7 @@ def train(
     grads = _tensor_views(g, params)
     m, v, s1, s2 = (np.zeros_like(theta) for _ in range(4))
     step = 0
-    b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     bn_layers = (params.enc_hidden, params.dec_hidden)
     best_mse, best, misses = math.inf, None, 0
 
@@ -586,8 +576,8 @@ def train(
                 ep_recon += recon
                 ep_sparse += sparse
                 ep_dist += dist
-                _update_running_stats(params.enc_hidden, cache["enc"], config.bn_momentum)
-                _update_running_stats(params.dec_hidden, cache["dec"], config.bn_momentum)
+                _update_running_stats(params.enc_hidden, cache["enc"])
+                _update_running_stats(params.dec_hidden, cache["dec"])
 
                 step += 1
                 scale = config.learning_rate * math.sqrt(1.0 - b2**step) / (1.0 - b1**step)
@@ -685,18 +675,15 @@ def params_to_dict(params: AutoencoderParams) -> dict:
     doc = {
         "input_dim": params.input_dim,
         "latent_dim": params.latent_dim,
-        "hidden_dims": list(params.hidden_dims),
+        "hidden_dim": params.hidden_dim,
     }
     for name in _LAYERS:
         doc[name] = {k: v.tolist() for k, v in vars(getattr(params, name)).items() if v is not None}
-    if params.train_config is not None:
-        doc["train_config"] = params.train_config.__dict__.copy()
     return doc
 
 
 def params_from_dict(doc: dict) -> AutoencoderParams:
     """Rebuild params_to_dict output; a layer key LayerParams does not have is a TypeError."""
-    cfg = TrainConfig(**doc["train_config"]) if "train_config" in doc else None
     layers = {
         name: LayerParams(**{k: np.array(v, dtype=float) for k, v in doc[name].items()})
         for name in _LAYERS
@@ -705,6 +692,5 @@ def params_from_dict(doc: dict) -> AutoencoderParams:
         **layers,
         input_dim=int(doc["input_dim"]),
         latent_dim=int(doc["latent_dim"]),
-        hidden_dims=doc["hidden_dims"],
-        train_config=cfg,
+        hidden_dim=int(doc["hidden_dim"]),
     )

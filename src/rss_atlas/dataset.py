@@ -340,7 +340,8 @@ def atomic_write(path, write) -> None:
     same directory, then rename it over `path`.
 
     A failed write removes the temp file, so the target is left either as
-    it was or with the complete new content. The temp file is fsync'd before
+    it was or with the complete new content; an OSError is then a
+    DataError naming the target. The temp file is fsync'd before
     the rename and the directory after it, so after a power loss the
     target holds the old or the new content, never an empty file.
     """
@@ -359,9 +360,11 @@ def atomic_write(path, write) -> None:
             os.fsync(fd)
         finally:
             os.close(fd)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
         raise
 
 

@@ -35,7 +35,7 @@ from .localization import (
 )
 
 # The one format version of a pipeline file; it decides how every part is read.
-PIPELINE_FORMAT_VERSION = 4
+PIPELINE_FORMAT_VERSION = 5
 
 # Seed offsets so each stage draws from its own stream; each autoencoder
 # kind trains from the experiment seed plus its own offset.
@@ -243,11 +243,15 @@ def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    if seed_override is not None and isinstance(doc, dict):
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: the config must be a JSON object, got {type(doc).__name__}")
+    if seed_override is not None:
         # Applied before parsing so derived seeds follow the override.
         doc["seed"] = seed_override
     return config_from_dict(doc)
@@ -471,7 +475,10 @@ def run_train(cfg: ExperimentConfig, manifest: Manifest | None = None) -> list[s
     A caller that passes `manifest` writes it; otherwise this writes manifest.json.
     """
     outdir = cfg.output_dir
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create output directory {outdir!r}: {exc.strerror or exc}") from None
     own_manifest = manifest is None
     manifest = manifest or Manifest(cfg)
 

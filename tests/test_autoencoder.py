@@ -350,7 +350,7 @@ def per_key_adam_train(ds, config):
     rng = np.random.default_rng(config.seed)
     adam_m = {k: np.zeros_like(params.get_tensor(k)) for k in ae.PARAM_KEYS}
     adam_v = {k: np.zeros_like(params.get_tensor(k)) for k in ae.PARAM_KEYS}
-    b1, b2, eps, mom = config.adam_beta1, config.adam_beta2, config.adam_eps, config.bn_momentum
+    b1, b2, eps, mom = 0.9, 0.999, 1e-8, 0.9  # Kingma & Ba's Adam defaults; batch-norm momentum
     losses, step = [], 0
     for _ in range(config.epochs):
         perm = rng.permutation(ds.n)
@@ -447,7 +447,7 @@ def frozen_reference_train(ds, config):
     for key, view in zip(ae.PARAM_KEYS, np.split(theta, ends)):
         params.set_tensor(key, view.reshape(params.get_tensor(key).shape))
     m, v = np.zeros_like(theta), np.zeros_like(theta)
-    b1, b2, eps, mom = config.adam_beta1, config.adam_beta2, config.adam_eps, config.bn_momentum
+    b1, b2, eps, mom = 0.9, 0.999, 1e-8, 0.9  # Kingma & Ba's Adam defaults; batch-norm momentum
     losses, step = [], 0
     for _ in range(config.epochs):
         perm = rng.permutation(ds.n)
@@ -785,7 +785,6 @@ class TestSerialization:
 
     def test_roundtrip_exact(self, rng):
         params = toy_params(rng)
-        params.train_config = TOY_CFG
         back = self.roundtrip(params)
         for key in params.tensor_keys():
             assert np.array_equal(params.get_tensor(key), back.get_tensor(key))
@@ -793,7 +792,7 @@ class TestSerialization:
             a, b = getattr(params, layer), getattr(back, layer)
             assert np.array_equal(a.bn_running_mean, b.bn_running_mean)
             assert np.array_equal(a.bn_running_var, b.bn_running_var)
-        assert back.train_config == TOY_CFG
+        assert (back.input_dim, back.latent_dim, back.hidden_dim) == (6, 3, 4)
 
     @pytest.mark.parametrize("edit,fragment", [
         (lambda d: d["enc_hidden"]["biases"].pop(), "enc_hidden.biases"),
@@ -801,9 +800,10 @@ class TestSerialization:
         (lambda d: d["enc_hidden"].pop("bn_gamma"), "enc_hidden.bn_gamma"),
         (lambda d: d["dec_out"].update(bn_beta=[0.0] * 6), "dec_out.bn_beta"),
         (lambda d: d["enc_out"]["weights"].pop(), "enc_out.weights"),
-        (lambda d: d.update(hidden_dims=[8]), "hidden_dims must be a pair"),
+        (lambda d: d.update(hidden_dim=8),
+         r"enc_hidden.weights has shape \(4, 6\), expected \(8, 6\)"),
     ], ids=["biases_short", "running_var_short", "hidden_without_gamma", "head_with_batchnorm",
-            "weights_row_short", "one_hidden_dim"])
+            "weights_row_short", "hidden_dim_disagrees"])
     def test_shapes_checked(self, edit, fragment, rng):
         doc = json.loads(json.dumps(ae.params_to_dict(toy_params(rng))))
         edit(doc)

@@ -285,7 +285,7 @@ def test_seed_override_of_non_object_config(tmp_path, capsys):
     cfg = write_config(tmp_path, [1])
     assert cli.main(["train", "--config", cfg, "--seed", "3"]) == 1
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and "unknown top-level fields" in err
+    assert len(err.splitlines()) == 1 and "the config must be a JSON object, got list" in err
 
 
 def identity_config(out_dir):
@@ -323,7 +323,7 @@ def _missing_csv(doc, out):
 
 
 def _corrupt_pipeline_json(doc, out):
-    (out / "pipeline_input.json").write_text('{"format_version": 4, "hyperparams": ')
+    (out / "pipeline_input.json").write_text('{"format_version": 5, "hyperparams": ')
     return "evaluate"
 
 
@@ -484,21 +484,45 @@ def _argv(*args):
     return setup
 
 
-def _autoencoder_pipeline(format_version, **train_config):
-    """Store an autoencoder with `train_config` entries replaced in a pipeline file of `format_version`."""
+def _autoencoder_pipeline(format_version):
+    """Store an autoencoder in a pipeline file of `format_version`."""
     def setup(doc, out):
         path = out / "pipeline_input.json"
         pipe = json.loads(path.read_text())
-        cfg = ae.TrainConfig(latent_dim=4, hidden_dim=10)
-        params = ae.init_params(12, cfg)
-        params.train_config = cfg
-        model = ae.params_to_dict(params)
+        params = ae.init_params(12, ae.TrainConfig(latent_dim=4, hidden_dim=10))
         pipe["format_version"] = format_version
-        model["train_config"].update(train_config)
-        pipe["compressor"] = {"kind": "autoencoder", "model": model}
+        pipe["compressor"] = {"kind": "autoencoder", "model": ae.params_to_dict(params)}
         path.write_text(json.dumps(pipe))
         return "evaluate"
     return setup
+
+
+def _format_4_autoencoder(pipe):
+    """An autoencoder pipeline as format 4 wrote it: a pair of hidden widths and
+    (some of) the training config."""
+    model = pipe["compressor"]["model"]
+    h = model.pop("hidden_dim")
+    model.update(hidden_dims=[h, h], train_config={"hidden_dim": h, "adam_beta1": 0.9, "bn_momentum": 0.9})
+    pipe["format_version"] = 4
+
+
+def _config_bytes(data):
+    """Run train from a config file holding the bytes `data`."""
+    def setup(doc, out):
+        path = out.parent / "raw.json"
+        path.write_bytes(data)
+        return ["train", "--config", str(path)]
+    return setup
+
+
+def _output_dir_is_a_file(doc, out):
+    doc["output_dir"] = str(out / "train.csv")
+    return "compare"
+
+
+def _synth_out_is_a_directory(doc, out):
+    (out / "survey").mkdir()
+    return ["synth", "--config", "{cfg}", "--out", str(out / "survey")]
 
 
 FAILURES = {
@@ -525,8 +549,8 @@ FAILURES = {
     "infinite_learning_rate": (
         _ae_train_value("learning_rate", float("inf")), 1, "learning_rate must be finite"
     ),
-    "adam_beta1_above_1": (_ae_train_value("adam_beta1", 1.5), 1, "adam_beta1"),
-    "zero_adam_eps": (_ae_train_value("adam_eps", 0.0), 1, "adam_eps must be > 0"),
+    "adam_beta1_above_1": (_ae_train_value("adam_beta1", 1.5), 1, "unknown ae_train fields: ['adam_beta1']"),
+    "zero_adam_eps": (_ae_train_value("adam_eps", 0.0), 1, "unknown ae_train fields: ['adam_eps']"),
     "distance_mode_key": (_ae_train_value("distance_mode", "squared"), 1, "distance_mode"),
     "fractional_epochs": (_ae_train_value("epochs", 2.5), 1, "epochs must be an integer"),
     "boolean_epochs": (_ae_train_value("epochs", True), 1, "epochs must be a number"),
@@ -587,23 +611,38 @@ FAILURES = {
         _argv("train", "--config", "{cfg}", "--seed", "abc"), 1, "argument --seed: invalid int value"
     ),
     "unknown_subcommand": (_argv("frobnicate", "--config", "{cfg}"), 1, "invalid choice: 'frobnicate'"),
+    "config_is_a_directory": (lambda doc, out: ["train", "--config", str(out)], 1, "/out: Is a directory"),
+    "config_not_utf8": (
+        _config_bytes(b'{"seed": 3, "output_dir": "\xff"}'), 1,
+        "raw.json: 'utf-8' codec can't decode byte 0xff",
+    ),
+    "config_not_an_object": (
+        _config_bytes(b"[1, 2]"), 1, "raw.json: the config must be a JSON object, got list",
+    ),
+    "empty_output_dir": (_set("output_dir", value=""), 2, "cannot create output directory ''"),
+    "output_dir_is_a_file": (_output_dir_is_a_file, 2, "train.csv': File exists"),
+    "synth_out_is_a_directory": (_synth_out_is_a_directory, 2, "survey: Is a directory"),
     "missing_csv": (_missing_csv, 2, "no_such_survey.csv"),
     "corrupt_pipeline_json": (_corrupt_pipeline_json, 2, "pipeline_input.json"),
     "v1_pipeline": (
         _edit_pipeline("input", lambda p: p.update(format_version=1)), 2,
-        "pipeline_input.json: unsupported pipeline format_version 1 (expected 4; rerun train",
+        "pipeline_input.json: unsupported pipeline format_version 1 (expected 5; rerun train",
     ),
     "v1_autoencoder_pipeline": (
-        _autoencoder_pipeline(1, distance_mode="squared"), 2,
-        "pipeline_input.json: unsupported pipeline format_version 1 (expected 4; rerun train",
+        _autoencoder_pipeline(1), 2,
+        "pipeline_input.json: unsupported pipeline format_version 1 (expected 5; rerun train",
     ),
     "v2_pipeline": (
         _edit_pipeline("input", _earlier_format(2)), 2,
-        "pipeline_input.json: unsupported pipeline format_version 2 (expected 4; rerun train",
+        "pipeline_input.json: unsupported pipeline format_version 2 (expected 5; rerun train",
     ),
     "v3_pipeline": (
         _edit_pipeline("input", _earlier_format(3)), 2,
-        "pipeline_input.json: unsupported pipeline format_version 3 (expected 4; rerun train",
+        "pipeline_input.json: unsupported pipeline format_version 3 (expected 5; rerun train",
+    ),
+    "v4_autoencoder_pipeline": (
+        _edit_pipeline("distance_ae", _format_4_autoencoder), 2,
+        "pipeline_distance_ae.json: unsupported pipeline format_version 4 (expected 5; rerun train",
     ),
     "nonpositive_length_scale": (
         _edit_pipeline("input", lambda p: p["hyperparams"].update(length_scale=0.0)), 2,
@@ -634,9 +673,9 @@ FAILURES = {
             key: m["enc_hidden"][key] for key in ("weights", "biases")
         }))), 2, "pipeline_distance_ae.json: enc_hidden.bn_gamma has shape None",
     ),
-    "ae_one_hidden_dim": (
-        _edit_pipeline("distance_ae", _ae_model(lambda m: m.update(hidden_dims=[8]))), 2,
-        "pipeline_distance_ae.json: hidden_dims must be a pair",
+    "ae_hidden_dim_disagrees": (
+        _edit_pipeline("distance_ae", _ae_model(lambda m: m.update(hidden_dim=11))), 2,
+        "pipeline_distance_ae.json: enc_hidden.weights has shape (10, 12), expected (11, 12)",
     ),
     "test_csv_missing_ap": (_drop_last_test_column, 2, "test.csv does not fit"),
     "test_csv_aps_reordered": (
@@ -663,8 +702,9 @@ FAILURES = {
         _overflowing_number("distance_ae", _ae_model(lambda m: m["enc_hidden"]["biases"].__setitem__(0, "1e400"))),
         2, "pipeline_distance_ae.json: number 1e400 overflows a double",
     ),
-    "huge_int_in_train_config": (
-        _autoencoder_pipeline(ex.PIPELINE_FORMAT_VERSION, lambda_d=10**400), 2, "corrupt or unreadable artifact"
+    "huge_int_in_ae_weights": (
+        _edit_pipeline("distance_ae", _ae_model(lambda m: m["enc_hidden"]["weights"][0].__setitem__(0, 10**400))),
+        2, "pipeline_distance_ae.json: corrupt or unreadable artifact",
     ),
     "underflowing_test_row": (_underflowing_test_row, 2, "not physical"),
     "overflowing_latent_std": (_overflowing_latents("pca4"), 3, "pipeline pca4: test point 0"),
@@ -695,6 +735,14 @@ def test_failure_contract(case, tmp_path, trained_run, capsys):
     assert fragment in err
     assert not list(out.glob("*.tmp"))
     assert not list(out.glob("eval_*.csv")) and not (out / "summary.csv").exists()
+
+
+def test_stored_autoencoder_holds_dims_and_layers_only(trained_run):
+    """A stored autoencoder is its three widths and four layers; no training setting is kept."""
+    model = json.loads((trained_run / "pipeline_distance_ae.json").read_text())["compressor"]["model"]
+    assert list(model) == ["input_dim", "latent_dim", "hidden_dim",
+                           "enc_hidden", "enc_out", "dec_hidden", "dec_out"]
+    assert (model["input_dim"], model["latent_dim"], model["hidden_dim"]) == (12, 4, 10)
 
 
 def test_unfactorable_map_loads_and_fails_in_evaluate(tmp_path, trained_run, monkeypatch, capsys):

@@ -227,7 +227,7 @@ class TestPipelineSerialization:
         """The pipeline document carries the file's only format version, the
         hyperparameters and the compressor, and no training data."""
         doc = pipeline_docs[kind]
-        assert doc["format_version"] == ex.PIPELINE_FORMAT_VERSION == 4
+        assert doc["format_version"] == ex.PIPELINE_FORMAT_VERSION == 5
         assert json.dumps(doc).count("format_version") == 1
         assert list(doc) == ["format_version", "hyperparams", "compressor"]
         assert set(doc["hyperparams"]) == {"signal_variance", "length_scale", "noise_variance"}
@@ -241,7 +241,7 @@ class TestPipelineSerialization:
         doc.update(format_version=3, label=kind, latent_mean=[0.0] * d, latent_std=[1.0] * d)
         doc["gp"] = {"hyperparams": doc.pop("hyperparams"), "X_train": small_norm.X.tolist(),
                      "Y": [[0.0] * d] * small_norm.n}
-        with pytest.raises(DataError, match=r"format_version 3 \(expected 4; rerun train"):
+        with pytest.raises(DataError, match=r"format_version 3 \(expected 5; rerun train"):
             ex.pipeline_from_dict(doc, kind, small_norm)
 
 
