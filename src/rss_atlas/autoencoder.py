@@ -54,20 +54,26 @@ class AutoencoderParams:
     """Encoder and decoder weights plus batch-norm state.
 
     Dimension chain: input_dim -> hidden_dim -> latent_dim -> hidden_dim
-    -> input_dim, with latent_dim < input_dim enforced.
-    Construction checks every tensor's shape against the chain: the two
-    hidden layers hold all four batch-norm vectors, the two heads none.
+    -> input_dim, with latent_dim < input_dim enforced. The widths are read
+    from the encoder's two weight matrices; construction checks every tensor
+    against the chain: hidden layers hold all four batch-norm vectors, heads none.
     """
 
     enc_hidden: LayerParams
     enc_out: LayerParams
     dec_hidden: LayerParams
     dec_out: LayerParams
-    input_dim: int
-    latent_dim: int
-    hidden_dim: int
+    input_dim: int = field(init=False)
+    latent_dim: int = field(init=False)
+    hidden_dim: int = field(init=False)
 
     def __post_init__(self):
+        for name in ("enc_hidden", "enc_out"):
+            shape = np.shape(getattr(self, name).weights)
+            if len(shape) != 2:
+                raise ConfigError(f"{name}.weights has shape {shape}, expected a matrix")
+        self.hidden_dim, self.input_dim = self.enc_hidden.weights.shape
+        self.latent_dim = self.enc_out.weights.shape[0]
         if not self.latent_dim < self.input_dim:
             raise ConfigError(
                 f"latent_dim {self.latent_dim} must be smaller than input_dim {self.input_dim}"
@@ -171,7 +177,6 @@ def init_params(input_dim: int, config: TrainConfig) -> AutoencoderParams:
         enc_out=dense(c, h, False),
         dec_hidden=dense(h, c, True),
         dec_out=dense(input_dim, h, False),
-        input_dim=input_dim, latent_dim=c, hidden_dim=h,
     )
 
 
@@ -671,26 +676,16 @@ def decode(params: AutoencoderParams, L: np.ndarray) -> np.ndarray:
 
 
 def params_to_dict(params: AutoencoderParams) -> dict:
-    """Dims, then each layer's tensors in LayerParams field order (absent batch norm omitted)."""
-    doc = {
-        "input_dim": params.input_dim,
-        "latent_dim": params.latent_dim,
-        "hidden_dim": params.hidden_dim,
+    """Each layer's tensors in LayerParams field order (absent batch norm omitted)."""
+    return {
+        name: {k: v.tolist() for k, v in vars(getattr(params, name)).items() if v is not None}
+        for name in _LAYERS
     }
-    for name in _LAYERS:
-        doc[name] = {k: v.tolist() for k, v in vars(getattr(params, name)).items() if v is not None}
-    return doc
 
 
 def params_from_dict(doc: dict) -> AutoencoderParams:
     """Rebuild params_to_dict output; a layer key LayerParams does not have is a TypeError."""
-    layers = {
+    return AutoencoderParams(**{
         name: LayerParams(**{k: np.array(v, dtype=float) for k, v in doc[name].items()})
         for name in _LAYERS
-    }
-    return AutoencoderParams(
-        **layers,
-        input_dim=int(doc["input_dim"]),
-        latent_dim=int(doc["latent_dim"]),
-        hidden_dim=int(doc["hidden_dim"]),
-    )
+    })

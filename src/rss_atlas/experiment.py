@@ -35,7 +35,7 @@ from .localization import (
 )
 
 # The one format version of a pipeline file; it decides how every part is read.
-PIPELINE_FORMAT_VERSION = 5
+PIPELINE_FORMAT_VERSION = 6
 
 # Seed offsets so each stage draws from its own stream; each autoencoder
 # kind trains from the experiment seed plus its own offset.
@@ -337,12 +337,12 @@ def build_pipeline(
 def pipeline_to_dict(pipeline: Pipeline) -> dict:
     """The pipeline's GP hyperparameters and fitted compressor.
 
-    The map's training locations and targets are not stored: they follow
-    from train.csv and the compressor (see pipeline_from_dict).
+    The map's training locations and targets are not stored, nor is any
+    width: they follow from train.csv and the compressor (see pipeline_from_dict).
     """
     comp = pipeline.compressor
     if isinstance(comp, IdentityCompressor):
-        comp_doc = {"kind": "identity", "input_dim": comp.input_dim}
+        comp_doc = {"kind": "identity"}
     elif isinstance(comp, PcaCompressor):
         comp_doc = {"kind": "pca", "model": pca_mod.model_to_dict(comp.model)}
     elif isinstance(comp, AutoencoderCompressor):
@@ -360,8 +360,8 @@ def pipeline_from_dict(doc: dict, label: str, train_norm: ds_mod.SurveyDataset) 
     """Rebuild the pipeline `label` from its document and the normalized training rows.
 
     The map is fitted at the stored hyperparameters on the targets
-    `latent_targets` makes, as `build_pipelines` fitted it. The label comes
-    from the caller, which also named the file.
+    `latent_targets` makes, as `build_pipelines` fitted it; an identity
+    takes train.csv's width. The label comes from the caller, which named the file.
     """
     if doc.get("format_version") != PIPELINE_FORMAT_VERSION:
         raise DataError(
@@ -371,7 +371,7 @@ def pipeline_from_dict(doc: dict, label: str, train_norm: ds_mod.SurveyDataset) 
     comp_doc = doc["compressor"]
     kind = comp_doc.get("kind")
     if kind == "identity":
-        comp = IdentityCompressor(int(comp_doc["input_dim"]))
+        comp = IdentityCompressor(train_norm.m)
     elif kind == "pca":
         comp = PcaCompressor(pca_mod.model_from_dict(comp_doc["model"]))
     elif kind == "autoencoder":
@@ -538,6 +538,8 @@ def run_evaluate(cfg: ExperimentConfig, manifest: Manifest | None = None) -> lis
     before it are scored; no eval or summary file is written then.
     """
     outdir = cfg.output_dir
+    if not os.path.isdir(outdir):
+        raise DataError(f"output directory {outdir!r} is not an existing directory; run train first")
     own_manifest = manifest is None
     manifest = manifest or Manifest(cfg)
     for name in ("train.csv", "test.csv"):

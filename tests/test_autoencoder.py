@@ -799,9 +799,10 @@ class TestSerialization:
         (lambda d: d["dec_hidden"]["bn_running_var"].pop(), "dec_hidden.bn_running_var"),
         (lambda d: d["enc_hidden"].pop("bn_gamma"), "enc_hidden.bn_gamma"),
         (lambda d: d["dec_out"].update(bn_beta=[0.0] * 6), "dec_out.bn_beta"),
-        (lambda d: d["enc_out"]["weights"].pop(), "enc_out.weights"),
-        (lambda d: d.update(hidden_dim=8),
-         r"enc_hidden.weights has shape \(4, 6\), expected \(8, 6\)"),
+        # The latent width is enc_out's row count, so its biases disagree.
+        (lambda d: d["enc_out"]["weights"].pop(), r"enc_out.biases has shape \(3,\), expected \(2,\)"),
+        (lambda d: [row.pop() for row in d["dec_out"]["weights"]],
+         r"dec_out.weights has shape \(6, 3\), expected \(6, 4\)"),
     ], ids=["biases_short", "running_var_short", "hidden_without_gamma", "head_with_batchnorm",
             "weights_row_short", "hidden_dim_disagrees"])
     def test_shapes_checked(self, edit, fragment, rng):

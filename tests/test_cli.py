@@ -17,15 +17,18 @@ from rss_atlas import localization as loc
 from rss_atlas.errors import GpFitError
 
 
+N_APS = 12
+
+
 def tiny_config(out_dir, seed=3):
-    """Small, fast experiment: 12 APs, short trajectory, few epochs."""
+    """Small, fast experiment: N_APS APs, short trajectory, few epochs."""
     return {
         "seed": seed,
         "output_dir": str(out_dir),
         "dataset": {
             "synth": {
                 "area": [60, 40],
-                "n_aps": 12,
+                "n_aps": N_APS,
                 "shadowing_std_dbm": 3.0,
                 "shadowing_correlation_length_m": 2.0,
                 "sample_spacing_m": 2.0,
@@ -323,7 +326,7 @@ def _missing_csv(doc, out):
 
 
 def _corrupt_pipeline_json(doc, out):
-    (out / "pipeline_input.json").write_text('{"format_version": 5, "hyperparams": ')
+    (out / "pipeline_input.json").write_text('{"format_version": 6, "hyperparams": ')
     return "evaluate"
 
 
@@ -342,9 +345,9 @@ def _edit_pipeline(label, edit):
 def _earlier_format(version):
     """A pipeline document as format 2 or 3 wrote it: a label, the latent stats
     and a GP holding its training locations and its solved weights W (2) or
-    its targets Y (3)."""
+    its targets Y (3), for an identity pipeline of the trained run's width."""
     def edit(pipe):
-        d = pipe["compressor"]["input_dim"]  # an identity pipeline
+        d = N_APS
         rows = {"X_train": [[0.0, 0.0], [1.0, 0.0]], "W" if version == 2 else "Y": [[0.0] * d] * 2}
         pipe.update(format_version=version, label="input", latent_mean=[0.0] * d,
                     latent_std=[1.0] * d, gp={"hyperparams": pipe.pop("hyperparams"), **rows})
@@ -498,12 +501,19 @@ def _autoencoder_pipeline(format_version):
 
 
 def _format_4_autoencoder(pipe):
-    """An autoencoder pipeline as format 4 wrote it: a pair of hidden widths and
-    (some of) the training config."""
+    """An autoencoder pipeline as format 4 wrote it: its input and latent widths,
+    a pair of hidden widths and (some of) the training config."""
     model = pipe["compressor"]["model"]
-    h = model.pop("hidden_dim")
-    model.update(hidden_dims=[h, h], train_config={"hidden_dim": h, "adam_beta1": 0.9, "bn_momentum": 0.9})
+    h, d = np.shape(model["enc_hidden"]["weights"])
+    model.update(input_dim=d, latent_dim=len(model["enc_out"]["weights"]), hidden_dims=[h, h],
+                 train_config={"hidden_dim": h, "adam_beta1": 0.9, "bn_momentum": 0.9})
     pipe["format_version"] = 4
+
+
+def _format_5_identity(pipe):
+    """An identity pipeline as format 5 wrote it: with its input width."""
+    pipe["compressor"]["input_dim"] = N_APS
+    pipe["format_version"] = 5
 
 
 def _config_bytes(data):
@@ -620,37 +630,41 @@ FAILURES = {
         _config_bytes(b"[1, 2]"), 1, "raw.json: the config must be a JSON object, got list",
     ),
     "empty_output_dir": (_set("output_dir", value=""), 2, "cannot create output directory ''"),
+    "evaluate_empty_output_dir": (
+        _set("output_dir", value="", command="evaluate"), 2,
+        "output directory '' is not an existing directory; run train first",
+    ),
     "output_dir_is_a_file": (_output_dir_is_a_file, 2, "train.csv': File exists"),
     "synth_out_is_a_directory": (_synth_out_is_a_directory, 2, "survey: Is a directory"),
     "missing_csv": (_missing_csv, 2, "no_such_survey.csv"),
     "corrupt_pipeline_json": (_corrupt_pipeline_json, 2, "pipeline_input.json"),
     "v1_pipeline": (
         _edit_pipeline("input", lambda p: p.update(format_version=1)), 2,
-        "pipeline_input.json: unsupported pipeline format_version 1 (expected 5; rerun train",
+        "pipeline_input.json: unsupported pipeline format_version 1 (expected 6; rerun train",
     ),
     "v1_autoencoder_pipeline": (
         _autoencoder_pipeline(1), 2,
-        "pipeline_input.json: unsupported pipeline format_version 1 (expected 5; rerun train",
+        "pipeline_input.json: unsupported pipeline format_version 1 (expected 6; rerun train",
     ),
     "v2_pipeline": (
         _edit_pipeline("input", _earlier_format(2)), 2,
-        "pipeline_input.json: unsupported pipeline format_version 2 (expected 5; rerun train",
+        "pipeline_input.json: unsupported pipeline format_version 2 (expected 6; rerun train",
     ),
     "v3_pipeline": (
         _edit_pipeline("input", _earlier_format(3)), 2,
-        "pipeline_input.json: unsupported pipeline format_version 3 (expected 5; rerun train",
+        "pipeline_input.json: unsupported pipeline format_version 3 (expected 6; rerun train",
     ),
     "v4_autoencoder_pipeline": (
         _edit_pipeline("distance_ae", _format_4_autoencoder), 2,
-        "pipeline_distance_ae.json: unsupported pipeline format_version 4 (expected 5; rerun train",
+        "pipeline_distance_ae.json: unsupported pipeline format_version 4 (expected 6; rerun train",
+    ),
+    "v5_pipeline": (
+        _edit_pipeline("input", _format_5_identity), 2,
+        "pipeline_input.json: unsupported pipeline format_version 5 (expected 6; rerun train",
     ),
     "nonpositive_length_scale": (
         _edit_pipeline("input", lambda p: p["hyperparams"].update(length_scale=0.0)), 2,
         "pipeline_input.json: length_scale must be > 0",
-    ),
-    "identity_input_dim_short": (
-        _edit_pipeline("input", lambda p: p["compressor"].update(input_dim=11)), 2,
-        "pipeline_input.json: expected 11 columns, got 12",
     ),
     "pca_mean_short": (
         _edit_pipeline("pca4", lambda p: p["compressor"]["model"]["mean"].pop()), 2,
@@ -674,8 +688,16 @@ FAILURES = {
         }))), 2, "pipeline_distance_ae.json: enc_hidden.bn_gamma has shape None",
     ),
     "ae_hidden_dim_disagrees": (
-        _edit_pipeline("distance_ae", _ae_model(lambda m: m.update(hidden_dim=11))), 2,
-        "pipeline_distance_ae.json: enc_hidden.weights has shape (10, 12), expected (11, 12)",
+        _edit_pipeline("distance_ae", _ae_model(lambda m: [row.pop() for row in m["dec_hidden"]["weights"]])),
+        2, "pipeline_distance_ae.json: dec_hidden.weights has shape (10, 3), expected (10, 4)",
+    ),
+    "ae_weights_not_a_matrix": (
+        _edit_pipeline("distance_ae", _ae_model(lambda m: m["enc_hidden"].update(weights=m["enc_hidden"]["weights"][0]))),
+        2, "pipeline_distance_ae.json: enc_hidden.weights has shape (12,), expected a matrix",
+    ),
+    "ae_head_weights_a_number": (
+        _edit_pipeline("distance_ae", _ae_model(lambda m: m["enc_out"].update(weights=0.5))),
+        2, "pipeline_distance_ae.json: enc_out.weights has shape (), expected a matrix",
     ),
     "test_csv_missing_ap": (_drop_last_test_column, 2, "test.csv does not fit"),
     "test_csv_aps_reordered": (
@@ -737,12 +759,15 @@ def test_failure_contract(case, tmp_path, trained_run, capsys):
     assert not list(out.glob("eval_*.csv")) and not (out / "summary.csv").exists()
 
 
-def test_stored_autoencoder_holds_dims_and_layers_only(trained_run):
-    """A stored autoencoder is its three widths and four layers; no training setting is kept."""
+def test_stored_pipeline_holds_no_width(trained_run):
+    """A stored autoencoder is its four layers and an identity compressor only its
+    kind: every width is read from the weights or from train.csv."""
     model = json.loads((trained_run / "pipeline_distance_ae.json").read_text())["compressor"]["model"]
-    assert list(model) == ["input_dim", "latent_dim", "hidden_dim",
-                           "enc_hidden", "enc_out", "dec_hidden", "dec_out"]
-    assert (model["input_dim"], model["latent_dim"], model["hidden_dim"]) == (12, 4, 10)
+    assert list(model) == ["enc_hidden", "enc_out", "dec_hidden", "dec_out"]
+    assert np.shape(model["enc_hidden"]["weights"]) == (10, N_APS)
+    assert np.shape(model["enc_out"]["weights"]) == (4, 10)
+    identity = json.loads((trained_run / "pipeline_input.json").read_text())["compressor"]
+    assert identity == {"kind": "identity"}
 
 
 def test_unfactorable_map_loads_and_fails_in_evaluate(tmp_path, trained_run, monkeypatch, capsys):

@@ -4,6 +4,7 @@ import json
 import math
 import operator
 import os
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -136,13 +137,21 @@ class TestConfigParsing:
             ex.config_from_dict({"output_dir": "o", "dataset": {"synth": {}}})
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 class TestReadme:
     def test_minimal_config_parses(self):
         """The README's "Minimal config" block is a config the parser accepts."""
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        readme = README.read_text(encoding="utf-8")
         block = readme.split("Minimal config:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
         cfg = ex.config_from_dict(json.loads(block))
         assert [spec.label for spec in cfg.compressors] == ["input", "pca10", "distance_ae"]
+
+    def test_format_version_matches(self):
+        """The README names the pipeline format version the code writes."""
+        found = re.findall(r"`format_version` \((\d+)\)", README.read_text(encoding="utf-8"))
+        assert found == [str(ex.PIPELINE_FORMAT_VERSION)]
 
 
 class TestTrainResolution:
@@ -227,7 +236,7 @@ class TestPipelineSerialization:
         """The pipeline document carries the file's only format version, the
         hyperparameters and the compressor, and no training data."""
         doc = pipeline_docs[kind]
-        assert doc["format_version"] == ex.PIPELINE_FORMAT_VERSION == 5
+        assert doc["format_version"] == ex.PIPELINE_FORMAT_VERSION == 6
         assert json.dumps(doc).count("format_version") == 1
         assert list(doc) == ["format_version", "hyperparams", "compressor"]
         assert set(doc["hyperparams"]) == {"signal_variance", "length_scale", "noise_variance"}
@@ -241,7 +250,7 @@ class TestPipelineSerialization:
         doc.update(format_version=3, label=kind, latent_mean=[0.0] * d, latent_std=[1.0] * d)
         doc["gp"] = {"hyperparams": doc.pop("hyperparams"), "X_train": small_norm.X.tolist(),
                      "Y": [[0.0] * d] * small_norm.n}
-        with pytest.raises(DataError, match=r"format_version 3 \(expected 5; rerun train"):
+        with pytest.raises(DataError, match=r"format_version 3 \(expected 6; rerun train"):
             ex.pipeline_from_dict(doc, kind, small_norm)
 
 
