@@ -105,32 +105,18 @@ class AutoencoderParams:
 class TrainConfig:
     """Optimization and architecture settings; every field has a default."""
 
-    latent_dim: int = 10
-    hidden_dim: int = 60
-    lambda_r: float = 1e-4
-    lambda_d: float = 1e-3
-    batch_size: int = 64
-    epochs: int = 2000
-    learning_rate: float = 1e-3
-    dropout_rate: float = 0.1
-    seed: int = 0
+    latent_dim: int = field(default=10, metadata={"ge": 1})
+    hidden_dim: int = field(default=60, metadata={"ge": 1})
+    lambda_r: float = field(default=1e-4, metadata={"ge": 0})
+    lambda_d: float = field(default=1e-3, metadata={"ge": 0})
+    batch_size: int = field(default=64, metadata={"ge": 2})  # batch norm needs two rows
+    epochs: int = field(default=2000, metadata={"ge": 0})
+    learning_rate: float = field(default=1e-3, metadata={"gt": 0})
+    dropout_rate: float = field(default=0.1, metadata={"ge": 0, "lt": 1})
+    seed: int = field(default=0, metadata={"ge": 0})
 
     def __post_init__(self):
         check_numbers(self)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.latent_dim < 1 or self.hidden_dim < 1:
-            raise ConfigError("latent_dim and hidden_dim must be >= 1")
-        if self.lambda_r < 0 or self.lambda_d < 0:
-            raise ConfigError("loss weights must be >= 0")
-        if self.batch_size < 2:
-            raise ConfigError("batch_size must be >= 2 (batch norm needs it)")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
-        if not self.learning_rate > 0:
-            raise ConfigError("learning_rate must be > 0")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError("dropout_rate must lie in [0, 1)")
 
 
 @dataclass

@@ -65,6 +65,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # Every array the program allocates is sized by the config.
+        print(f"config error: not enough memory: {exc}", file=sys.stderr)
+        return 1
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

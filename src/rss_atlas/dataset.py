@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, check_number, check_numbers
-from .gp_map import _sq_dists
+from .gp_map import _sq_dists, _unit_kernel
 
 DEFAULT_FLOOR_DBM = -100.0
 # Thermal noise in 1 Hz at 290 K: no receiver reports a weaker signal.
@@ -126,15 +126,16 @@ class SynthEnvConfig:
     """
 
     area: tuple[float, float] = (240.0, 140.0)
-    n_aps: int = 91
-    tx_power_dbm: float = -30.0
-    path_loss_exponent: float = 2.0
-    reference_distance_m: float = 1.0
-    shadowing_std_dbm: float = 3.0
-    shadowing_correlation_length_m: float = 1.0
-    floor_dbm: float = DEFAULT_FLOOR_DBM
+    n_aps: int = field(default=91, metadata={"ge": 1})
+    tx_power_dbm: float = field(default=-30.0, metadata={"le": 0})
+    path_loss_exponent: float = field(default=2.0, metadata={"ge": 1.5, "le": 6})
+    reference_distance_m: float = field(default=1.0, metadata={"gt": 0})
+    shadowing_std_dbm: float = field(default=3.0, metadata={"ge": 0})
+    shadowing_correlation_length_m: float = field(default=1.0, metadata={"gt": 0})
+    # load_csv refuses readings below MIN_RSS_DBM, so train must not write them.
+    floor_dbm: float = field(default=DEFAULT_FLOOR_DBM, metadata={"ge": MIN_RSS_DBM})
     waypoints: tuple[tuple[float, float], ...] = field(default_factory=_default_waypoints)
-    sample_spacing_m: float = 1.55
+    sample_spacing_m: float = field(default=1.55, metadata={"gt": 0})
 
     def __post_init__(self):
         object.__setattr__(self, "area", tuple(self.area))
@@ -148,25 +149,8 @@ class SynthEnvConfig:
         w, h = self.area
         if w <= 0 or h <= 0:
             raise ConfigError(f"area sides must be positive, got {self.area}")
-        if self.n_aps < 1:
-            raise ConfigError("n_aps must be >= 1")
-        if not 1.5 <= self.path_loss_exponent <= 6.0:
-            raise ConfigError(
-                f"path_loss_exponent must lie in [1.5, 6], got {self.path_loss_exponent}"
-            )
-        for name in ("reference_distance_m", "shadowing_correlation_length_m", "sample_spacing_m"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"synth.{name} must be > 0, got {getattr(self, name)}")
-        if self.shadowing_std_dbm < 0:
-            raise ConfigError("shadowing_std_dbm must be >= 0")
-        if not self.tx_power_dbm <= 0.0:
-            raise ConfigError(
-                f"tx_power_dbm must be at most 0 dBm, got {self.tx_power_dbm}"
-            )
         if self.floor_dbm >= self.tx_power_dbm:
             raise ConfigError("floor_dbm must be below tx_power_dbm")
-        if not self.floor_dbm >= MIN_RSS_DBM:
-            raise ConfigError(f"floor_dbm must be at least {MIN_RSS_DBM:g} dBm")
         if len(self.waypoints) < 1:
             raise ConfigError("trajectory needs at least one waypoint")
 
@@ -253,11 +237,8 @@ def synthesize(config: SynthEnvConfig, seed: int) -> SurveyDataset:
     if config.shadowing_std_dbm > 0:
         # One Cholesky factor serves every AP: the correlation depends only
         # on sample locations, shadowing draws are independent per AP. The
-        # correlation exp(-d2/l^2) is built in the squared-distance buffer
-        # (d2/(-l^2) rounds as -d2/l^2), which is dropped once factored.
-        corr = _sq_dists(X, X)
-        np.divide(corr, -(config.shadowing_correlation_length_m**2), out=corr)
-        np.exp(corr, out=corr)
+        # correlation exp(-d2/l^2) is the GP's unit kernel, dropped once factored.
+        corr = _unit_kernel(X, X, config.shadowing_correlation_length_m)
         corr[np.diag_indices(n)] += 1e-10
         chol = np.linalg.cholesky(corr)
         del corr

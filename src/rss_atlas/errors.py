@@ -6,6 +6,7 @@ DataError -> 2, NumericalError -> 3.
 
 import math
 import numbers
+import operator
 from dataclasses import fields
 
 
@@ -30,16 +31,29 @@ def check_number(name: str, value, integer: bool = False) -> None:
         raise ConfigError(f"{name} must be finite, got {value}")
 
 
+# The bounds a numeric config field may declare in its metadata.
+_BOUNDS = {
+    "gt": (operator.gt, ">"), "ge": (operator.ge, ">="), "lt": (operator.lt, "<"), "le": (operator.le, "<="),
+}
+
+
 def check_numbers(config, prefix: str = "") -> None:
-    """check_number on every `int` and `float` field of the dataclass `config`.
+    """check_number on every `int` and `float` field of the dataclass `config`,
+    then each bound the field declares in its metadata, e.g.
+    `field(default=1e-4, metadata={"ge": 0})`.
 
     Fields are matched by annotation, which every config module keeps as a
     string (`from __future__ import annotations`). Messages name the field
-    after `prefix`, e.g. "evaluation.cell_size must be finite".
+    after `prefix`, e.g. "evaluation.cell_size must be > 0, got 0".
     """
     for f in fields(config):
         if f.type in ("int", "float"):
-            check_number(prefix + f.name, getattr(config, f.name), f.type == "int")
+            name, value = prefix + f.name, getattr(config, f.name)
+            check_number(name, value, f.type == "int")
+            for key, bound in f.metadata.items():
+                holds, sign = _BOUNDS[key]
+                if not holds(value, bound):
+                    raise ConfigError(f"{name} must be {sign} {bound:g}, got {value}")
 
 
 class DataError(RssAtlasError):

@@ -99,9 +99,9 @@ class CompressorSpec:
 
 @dataclass(frozen=True)
 class EvaluationSpec:
-    cell_size: float = 1.0
-    sigma_m: float = 10.0
-    margin_cells: int = 2
+    cell_size: float = field(default=1.0, metadata={"gt": 0})
+    sigma_m: float = field(default=10.0, metadata={"gt": 0})
+    margin_cells: int = field(default=2, metadata={"ge": 0})
     raster_indices: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -112,20 +112,15 @@ class EvaluationSpec:
         repeated = sorted({idx for idx in self.raster_indices if self.raster_indices.count(idx) > 1})
         if repeated:
             raise ConfigError(f"evaluation.raster_indices lists {repeated} more than once")
-        for name in ("cell_size", "sigma_m"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"evaluation.{name} must be > 0, got {getattr(self, name)}")
-        if self.margin_cells < 0:
-            raise ConfigError(f"evaluation.margin_cells must be >= 0, got {self.margin_cells}")
 
 
 @dataclass
 class ExperimentConfig:
-    seed: int
+    seed: int = field(metadata={"ge": 0})
     output_dir: str
     synth: ds_mod.SynthEnvConfig | None = None
     csv_path: str | None = None
-    test_fraction: float = 0.3
+    test_fraction: float = field(default=0.3, metadata={"gt": 0, "lt": 1})
     split_mode: str = "random"
     gp_grid: list[gp_map.GpHyperparams] = field(default_factory=default_gp_grid)
     evaluation: EvaluationSpec = field(default_factory=EvaluationSpec)
@@ -136,14 +131,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_numbers(self)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if (self.synth is None) == (self.csv_path is None):
             raise ConfigError("config needs exactly one of dataset.synth or dataset.csv")
         if not isinstance(self.output_dir, str) or not isinstance(self.csv_path, (str, type(None))):
             raise ConfigError("output_dir and dataset.csv must be strings")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError("split.test_fraction must lie in (0, 1)")
         if self.split_mode not in ds_mod.SPLIT_MODES:
             raise ConfigError(f"split.mode must be one of {ds_mod.SPLIT_MODES}, got {self.split_mode!r}")
         labels = [spec.label for spec in self.compressors]

@@ -41,7 +41,7 @@ products on the same rows and agree bit for bit at any BLAS thread count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,18 +59,12 @@ _ROWS = 256  # query points per chunk of every prediction
 class GpHyperparams:
     """Kernel and noise hyperparameters in the output's squared units."""
 
-    signal_variance: float
-    length_scale: float
-    noise_variance: float = 0.0
+    signal_variance: float = field(metadata={"gt": 0})
+    length_scale: float = field(metadata={"gt": 0})
+    noise_variance: float = field(default=0.0, metadata={"ge": 0})
 
     def __post_init__(self):
         check_numbers(self)
-        if not self.signal_variance > 0:
-            raise ConfigError(f"signal_variance must be > 0, got {self.signal_variance}")
-        if not self.length_scale > 0:
-            raise ConfigError(f"length_scale must be > 0, got {self.length_scale}")
-        if self.noise_variance < 0:
-            raise ConfigError(f"noise_variance must be >= 0, got {self.noise_variance}")
 
 
 @dataclass(frozen=True)

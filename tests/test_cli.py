@@ -555,7 +555,14 @@ FAILURES = {
     "nan_cell_size": (_evaluation_value("cell_size", float("nan")), 1, "evaluation.cell_size"),
     "nan_sigma_m": (_evaluation_value("sigma_m", float("nan")), 1, "evaluation.sigma_m"),
     "negative_margin_cells": (_evaluation_value("margin_cells", -5), 1, "evaluation.margin_cells"),
+    # A grid of about 6e16 x 4e16 cells: one axis alone asks for hundreds of PiB,
+    # more than 2^57 bytes and so past any address space; the allocation fails
+    # before a byte is taken.
+    "unallocatable_grid": (
+        _evaluation_value("cell_size", 1e-15), 1, "config error: not enough memory: Unable to allocate"
+    ),
     "nan_lambda_d": (_ae_train_value("lambda_d", float("nan")), 1, "lambda_d must be finite"),
+    "negative_lambda_r": (_ae_train_value("lambda_r", -1), 1, "config error: lambda_r must be >= 0, got -1"),
     "infinite_learning_rate": (
         _ae_train_value("learning_rate", float("inf")), 1, "learning_rate must be finite"
     ),
@@ -571,6 +578,7 @@ FAILURES = {
     ),
     "fractional_n_aps": (_set("dataset", "synth", "n_aps", value=2.5), 1, "synth.n_aps must be an integer"),
     "boolean_n_aps": (_set("dataset", "synth", "n_aps", value=True), 1, "synth.n_aps must be a number"),
+    "zero_n_aps": (_set("dataset", "synth", "n_aps", value=0), 1, "config error: synth.n_aps must be >= 1, got 0"),
     "nan_sample_spacing": (
         _set("dataset", "synth", "sample_spacing_m", value=float("nan")), 1,
         "synth.sample_spacing_m must be finite",

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import json
 import math
@@ -135,6 +136,66 @@ class TestConfigParsing:
     def test_missing_seed(self):
         with pytest.raises(ConfigError, match="seed"):
             ex.config_from_dict({"output_dir": "o", "dataset": {"synth": {}}})
+
+
+# Values for the fields that have no default; every other field keeps its default.
+_REQUIRED = {
+    gp_map.GpHyperparams: {"signal_variance": 1.0, "length_scale": 1.0},
+    ex.ExperimentConfig: {"seed": 0, "output_dir": "o", "csv_path": "s.csv"},
+}
+# (class, field, rejected value, accepted value, message): one row per bound.
+# The accepted value is the bound itself where the bound is closed.
+_BOUND_ROWS = [
+    (gp_map.GpHyperparams, "signal_variance", 0.0, 1e-12, "signal_variance must be > 0, got 0.0"),
+    (gp_map.GpHyperparams, "length_scale", 0.0, 1e-12, "length_scale must be > 0, got 0.0"),
+    (gp_map.GpHyperparams, "noise_variance", -1e-12, 0.0, "noise_variance must be >= 0, got -1e-12"),
+    (ae.TrainConfig, "latent_dim", 0, 1, "latent_dim must be >= 1, got 0"),
+    (ae.TrainConfig, "hidden_dim", 0, 1, "hidden_dim must be >= 1, got 0"),
+    (ae.TrainConfig, "lambda_r", -1, 0.0, "lambda_r must be >= 0, got -1"),
+    (ae.TrainConfig, "lambda_d", -1e-12, 0.0, "lambda_d must be >= 0, got -1e-12"),
+    (ae.TrainConfig, "batch_size", 1, 2, "batch_size must be >= 2, got 1"),
+    (ae.TrainConfig, "epochs", -1, 0, "epochs must be >= 0, got -1"),
+    (ae.TrainConfig, "learning_rate", 0.0, 1e-12, "learning_rate must be > 0, got 0.0"),
+    (ae.TrainConfig, "dropout_rate", -1e-12, 0.0, "dropout_rate must be >= 0, got -1e-12"),
+    (ae.TrainConfig, "dropout_rate", 1.0, 0.999, "dropout_rate must be < 1, got 1.0"),
+    (ae.TrainConfig, "seed", -1, 0, "seed must be >= 0, got -1"),
+    (dsm.SynthEnvConfig, "n_aps", 0, 1, "synth.n_aps must be >= 1, got 0"),
+    (dsm.SynthEnvConfig, "tx_power_dbm", 1e-12, 0.0, "synth.tx_power_dbm must be <= 0, got 1e-12"),
+    (dsm.SynthEnvConfig, "path_loss_exponent", 1.499, 1.5, "synth.path_loss_exponent must be >= 1.5, got 1.499"),
+    (dsm.SynthEnvConfig, "path_loss_exponent", 6.001, 6.0, "synth.path_loss_exponent must be <= 6, got 6.001"),
+    (dsm.SynthEnvConfig, "reference_distance_m", 0.0, 1e-12, "synth.reference_distance_m must be > 0, got 0.0"),
+    (dsm.SynthEnvConfig, "shadowing_std_dbm", -1e-12, 0.0, "synth.shadowing_std_dbm must be >= 0, got -1e-12"),
+    (dsm.SynthEnvConfig, "shadowing_correlation_length_m", 0.0, 1e-12,
+     "synth.shadowing_correlation_length_m must be > 0, got 0.0"),
+    (dsm.SynthEnvConfig, "floor_dbm", -174.001, -174.0, "synth.floor_dbm must be >= -174, got -174.001"),
+    (dsm.SynthEnvConfig, "sample_spacing_m", 0.0, 1e-12, "synth.sample_spacing_m must be > 0, got 0.0"),
+    (ex.EvaluationSpec, "cell_size", 0.0, 1e-12, "evaluation.cell_size must be > 0, got 0.0"),
+    (ex.EvaluationSpec, "sigma_m", 0.0, 1e-12, "evaluation.sigma_m must be > 0, got 0.0"),
+    (ex.EvaluationSpec, "margin_cells", -1, 0, "evaluation.margin_cells must be >= 0, got -1"),
+    (ex.ExperimentConfig, "seed", -1, 0, "seed must be >= 0, got -1"),
+    (ex.ExperimentConfig, "test_fraction", 0.0, 1e-12, "test_fraction must be > 0, got 0.0"),
+    (ex.ExperimentConfig, "test_fraction", 1.0, 0.999, "test_fraction must be < 1, got 1.0"),
+]
+
+
+class TestBounds:
+    @pytest.mark.parametrize("cls,name,rejected,accepted,message", _BOUND_ROWS,
+                             ids=[f"{row[0].__name__}.{row[1]}={row[2]}" for row in _BOUND_ROWS])
+    def test_bound(self, cls, name, rejected, accepted, message):
+        with pytest.raises(ConfigError) as info:
+            cls(**{**_REQUIRED.get(cls, {}), name: rejected})
+        assert str(info.value) == message
+        assert getattr(cls(**{**_REQUIRED.get(cls, {}), name: accepted}), name) == accepted
+
+    @pytest.mark.parametrize("cls", [gp_map.GpHyperparams, ae.TrainConfig, dsm.SynthEnvConfig,
+                                     ex.EvaluationSpec, ex.ExperimentConfig], ids=lambda cls: cls.__name__)
+    def test_every_number_declares_its_bounds(self, cls):
+        """A numeric config field states its range on itself, and each bound has a row above."""
+        for f in dataclasses.fields(cls):
+            if f.type in ("int", "float"):
+                rows = [row for row in _BOUND_ROWS if row[:2] == (cls, f.name)]
+                assert f.metadata, f"{cls.__name__}.{f.name} declares no bound"
+                assert len(rows) == len(f.metadata), f"{cls.__name__}.{f.name}"
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
