@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import SurveyDataset, NormalizationStats
-from .errors import ConfigError, DataError, TrainingDivergedError, check_numbers
+from .errors import ConfigError, DataError, TrainingDivergedError, check_array_size, check_numbers
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
@@ -146,6 +146,7 @@ def init_params(input_dim: int, config: TrainConfig) -> AutoencoderParams:
     h, c = config.hidden_dim, config.latent_dim
 
     def dense(out_dim, in_dim, with_bn):
+        check_array_size("an autoencoder layer", out_dim, in_dim)
         bound = math.sqrt(6.0 / (in_dim + out_dim))
         layer = LayerParams(
             weights=rng.uniform(-bound, bound, size=(out_dim, in_dim)),

@@ -8,6 +8,7 @@ correlated shadowing, sampled along a configurable trajectory.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import re
@@ -15,7 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_number, check_numbers
+from .errors import (
+    SQUARED_LENGTH, ConfigError, DataError, NumericalError, check_array_size, check_number, check_numbers,
+)
 from .gp_map import _sq_dists, _unit_kernel
 
 DEFAULT_FLOOR_DBM = -100.0
@@ -131,7 +134,7 @@ class SynthEnvConfig:
     path_loss_exponent: float = field(default=2.0, metadata={"ge": 1.5, "le": 6})
     reference_distance_m: float = field(default=1.0, metadata={"gt": 0})
     shadowing_std_dbm: float = field(default=3.0, metadata={"ge": 0})
-    shadowing_correlation_length_m: float = field(default=1.0, metadata={"gt": 0})
+    shadowing_correlation_length_m: float = field(default=1.0, metadata=SQUARED_LENGTH)
     # load_csv refuses readings below MIN_RSS_DBM, so train must not write them.
     floor_dbm: float = field(default=DEFAULT_FLOOR_DBM, metadata={"ge": MIN_RSS_DBM})
     waypoints: tuple[tuple[float, float], ...] = field(default_factory=_default_waypoints)
@@ -190,6 +193,7 @@ def trajectory_points(
     total = cum[-1]
     if total == 0.0:
         return wp[:1].copy()
+    check_array_size("the trajectory", (total + 1e-12) / spacing_m, 2)
     targets = np.arange(0.0, total + 1e-12, spacing_m)
     pts = np.empty((targets.size, 2))
     idx = np.minimum(np.searchsorted(cum, targets, side="right") - 1, len(seg_len) - 1)
@@ -222,14 +226,17 @@ def synthesize(config: SynthEnvConfig, seed: int) -> SurveyDataset:
     """Generate a survey dataset; a pure function of (config, seed).
 
     Draw order is fixed: AP positions first, then one standard normal
-    vector per AP for the correlated shadowing field.
+    vector per AP for the correlated shadowing field. The trajectory draws
+    nothing, so its size is checked before the first draw.
     """
+    X = trajectory_points(config.waypoints, config.sample_spacing_m)
+    n = X.shape[0]
+    # The readings are n x n_aps, the AP positions n_aps x 2.
+    check_array_size("the survey", max(n, 2), config.n_aps)
+
     rng = np.random.default_rng(seed)
     w, h = config.area
     aps = rng.uniform(low=[0.0, 0.0], high=[w, h], size=(config.n_aps, 2))
-
-    X = trajectory_points(config.waypoints, config.sample_spacing_m)
-    n = X.shape[0]
 
     dist = np.sqrt(_sq_dists(X, aps))
     Z = path_loss_dbm(config, dist)
@@ -358,15 +365,19 @@ def write_csv(path, header, rows) -> None:
     """Write a header and rows of cells as CSV, through `atomic_write_text`.
 
     A float cell is written as repr(float(v)), which round-trips exactly,
-    None as an empty cell, and anything else as str(v).
+    None as an empty cell, and anything else as str(v). A NaN or infinite
+    cell is a NumericalError naming the file and column, raised before the
+    target is touched, as no JSON artifact holds one.
     """
-    def cell(v) -> str:
+    def cell(j: int, v) -> str:
         if isinstance(v, (float, np.floating)):
+            if not math.isfinite(v):
+                raise NumericalError(f"{path}: non-finite value {float(v)} in column {header[j]}")
             return repr(float(v))
         return "" if v is None else str(v)
 
     lines = [",".join(header)]
-    lines += [",".join(map(cell, row)) for row in rows]
+    lines += [",".join(map(cell, itertools.count(), row)) for row in rows]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

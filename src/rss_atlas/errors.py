@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package, and the number check of configs.
+"""Exception hierarchy shared across the package, the number check of configs
+and the size check of arrays.
 
 The CLI maps these onto process exit codes: ConfigError -> 1,
 DataError -> 2, NumericalError -> 3.
@@ -7,6 +8,7 @@ DataError -> 2, NumericalError -> 3.
 import math
 import numbers
 import operator
+import sys
 from dataclasses import fields
 
 
@@ -44,7 +46,7 @@ def check_numbers(config, prefix: str = "") -> None:
 
     Fields are matched by annotation, which every config module keeps as a
     string (`from __future__ import annotations`). Messages name the field
-    after `prefix`, e.g. "evaluation.cell_size must be > 0, got 0".
+    after `prefix`, e.g. "synth.n_aps must be >= 1, got 0".
     """
     for f in fields(config):
         if f.type in ("int", "float"):
@@ -54,6 +56,24 @@ def check_numbers(config, prefix: str = "") -> None:
                 holds, sign = _BOUNDS[key]
                 if not holds(value, bound):
                     raise ConfigError(f"{name} must be {sign} {bound:g}, got {value}")
+
+
+# The range of a length the program squares: the square roots of the
+# smallest and largest normal doubles are 1.5e-154 and 1.3e154, so the
+# square of a length in it is a finite, normal double.
+SQUARED_LENGTH = {"ge": 1e-150, "le": 1e150}
+
+
+def check_array_size(name: str, *shape) -> None:
+    """A MemoryError if an array of doubles of `shape` is past what numpy can index.
+
+    numpy refuses such a size with a ValueError, not a MemoryError; the
+    CLI reports a MemoryError as a config error. `shape` may hold floats,
+    so a count is checked before it is made an integer.
+    """
+    if not math.prod(shape) * 8 <= sys.maxsize:
+        dims = " x ".join(f"{d:.4g}" for d in shape)
+        raise MemoryError(f"Unable to allocate {name} of {dims} doubles: past the size an array can index")
 
 
 class DataError(RssAtlasError):

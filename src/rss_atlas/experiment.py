@@ -25,7 +25,7 @@ from . import gp_map
 from . import localization as loc
 from . import pca as pca_mod
 from .dataset import atomic_write_text  # noqa: F401  traced by name: experiment.atomic_write_text
-from .errors import ConfigError, DataError, NumericalError, check_number, check_numbers
+from .errors import SQUARED_LENGTH, ConfigError, DataError, NumericalError, check_number, check_numbers
 from .localization import (
     AutoencoderCompressor,
     Grid,
@@ -99,8 +99,8 @@ class CompressorSpec:
 
 @dataclass(frozen=True)
 class EvaluationSpec:
-    cell_size: float = field(default=1.0, metadata={"gt": 0})
-    sigma_m: float = field(default=10.0, metadata={"gt": 0})
+    cell_size: float = field(default=1.0, metadata=SQUARED_LENGTH)
+    sigma_m: float = field(default=10.0, metadata=SQUARED_LENGTH)
     margin_cells: int = field(default=2, metadata={"ge": 0})
     raster_indices: tuple[int, ...] = ()
 
@@ -524,9 +524,8 @@ def run_evaluate(cfg: ExperimentConfig, manifest: Manifest | None = None) -> lis
 
     train.csv is normalized as train normalized it, and each map is rebuilt
     from it and its pipeline file (see pipeline_from_dict). Every pipeline
-    file must exist before scoring starts, but each is read only when
-    `loc.evaluate` reaches it, so a corrupt one is reported after the ones
-    before it are scored; no eval or summary file is written then.
+    is read before any is scored, so a missing or corrupt file is reported
+    first; no eval or summary file is written then.
     """
     outdir = cfg.output_dir
     if not os.path.isdir(outdir):
@@ -544,25 +543,21 @@ def run_evaluate(cfg: ExperimentConfig, manifest: Manifest | None = None) -> lis
     train_norm, stats = ds_mod.normalize(train_raw)
     test_norm = ds_mod.apply_normalization(test_raw, stats)
 
-    labels = [spec.label for spec in cfg.compressors]
-    paths = [os.path.join(outdir, f"pipeline_{label}.json") for label in labels]
-    for path in paths:
-        if not os.path.exists(path):
-            raise DataError(f"missing model file {path}")
-    manifest.stage("load")
-
     ev = cfg.evaluation
     for idx in ev.raster_indices:
         if not 0 <= idx < test_norm.n:
             raise ConfigError(f"raster index {idx} out of range [0, {test_norm.n})")
 
+    pipelines = []
+    for spec in cfg.compressors:
+        path = os.path.join(outdir, f"pipeline_{spec.label}.json")
+        if not os.path.exists(path):
+            raise DataError(f"missing model file {path}")
+        pipelines.append(_load_artifact(path, lambda doc: pipeline_from_dict(doc, spec.label, train_norm)))
+    manifest.stage("load")
+
     all_points = np.vstack([train_raw.X, test_raw.X])
     grid = Grid.cover(all_points, ev.cell_size, ev.margin_cells)
-    # Each pipeline is read when its turn comes, so one is held at a time.
-    pipelines = (
-        _load_artifact(path, lambda doc: pipeline_from_dict(doc, label, train_norm))
-        for label, path in zip(labels, paths)
-    )
     results = loc.evaluate(pipelines, test_norm, grid, ev.sigma_m, ev.raster_indices)
     manifest.stage("evaluate")
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, GpFitError, check_numbers
+from .errors import SQUARED_LENGTH, ConfigError, DataError, GpFitError, check_numbers
 
 _JITTER_SCALE = 1e-8
 _VARIANCE_FLOOR = 1e-12
@@ -60,7 +60,7 @@ class GpHyperparams:
     """Kernel and noise hyperparameters in the output's squared units."""
 
     signal_variance: float = field(metadata={"gt": 0})
-    length_scale: float = field(metadata={"gt": 0})
+    length_scale: float = field(metadata=SQUARED_LENGTH)
     noise_variance: float = field(default=0.0, metadata={"ge": 0})
 
     def __post_init__(self):

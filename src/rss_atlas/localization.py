@@ -17,7 +17,6 @@ fields, through FieldBuilder.field_for.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -27,7 +26,7 @@ from . import autoencoder as ae
 from . import gp_map
 from . import pca as pca_mod
 from .dataset import SurveyDataset, atomic_write_text, write_csv
-from .errors import ConfigError, DataError, LikelihoodUnderflowError, RssAtlasError
+from .errors import ConfigError, DataError, LikelihoodUnderflowError, RssAtlasError, check_array_size
 
 LOG_2PI = math.log(2.0 * math.pi)
 _Q_FLOOR = 1e-300
@@ -52,6 +51,7 @@ class Grid:
             raise ConfigError("cell_size must be positive")
         if self.width < 1 or self.height < 1:
             raise ConfigError("grid must have at least one cell per axis")
+        check_array_size("the grid", self.width, self.height)
 
     @classmethod
     def cover(cls, points: np.ndarray, cell_size: float, margin_cells: int = 2) -> "Grid":
@@ -334,7 +334,7 @@ class EvalResult:
 
 
 def evaluate(
-    pipelines: Iterable[Pipeline],
+    pipelines: list[Pipeline],
     test_set: SurveyDataset,
     grid: Grid,
     sigma: float,
@@ -355,11 +355,6 @@ def evaluate(
     `rasters`. A package error while scoring a pipeline is re-raised as
     the same class, its message prefixed with the pipeline's label and,
     for a test row, the row index.
-
-    `pipelines` is any iterable and is consumed one pipeline at a time:
-    a pipeline and its FieldBuilder are released before the next one is
-    requested, so an iterable that loads each pipeline on demand keeps one
-    pipeline's working set alive, however many there are.
     """
     if not test_set.normalized:
         raise DataError("test set must be normalized with the training statistics")
@@ -375,8 +370,6 @@ def evaluate(
                 results.append(_score_pipeline(pipeline, test_set, grid, ideal, keep))
             except RssAtlasError as exc:
                 raise type(exc)(f"pipeline {pipeline.label}: {exc}") from exc
-            # Freed before the next pipeline is requested.
-            del pipeline
     return results
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -201,9 +202,9 @@ class TestEvaluateCommand:
                 loc.save_field_pgm(builder.field_for(test.Z[idx]), expected)
                 assert (outdir / f"field_{label}_{idx:04d}.pgm").read_bytes() == expected.read_bytes()
 
-    def test_corrupt_last_pipeline_is_read_after_the_others_are_scored(
-        self, trained_dir, monkeypatch, capsys
-    ):
+    def test_corrupt_pipeline_is_reported_before_any_is_scored(self, trained_dir, monkeypatch, capsys):
+        """Every pipeline is loaded before the first FieldBuilder, so a corrupt
+        last file fails the run before any grid table is built."""
         cfg, outdir = trained_dir
         bad = outdir / "pipeline_distance_ae.json"
         bad.write_text('{"format_version": 1, "gp": ')
@@ -218,7 +219,7 @@ class TestEvaluateCommand:
         capsys.readouterr()
         assert cli.main(["evaluate", "--config", cfg]) == 2
         err = capsys.readouterr().err
-        assert built == ["input", "pca4"]
+        assert built == []
         assert len(err.splitlines()) == 1 and str(bad) in err
         assert "Traceback" not in err
         assert not list(outdir.glob("eval_*.csv"))
@@ -561,6 +562,29 @@ FAILURES = {
     "unallocatable_grid": (
         _evaluation_value("cell_size", 1e-15), 1, "config error: not enough memory: Unable to allocate"
     ),
+    # Sizes past what numpy can index (2^63 bytes) fail before any array is made.
+    "grid_past_an_array": (
+        _evaluation_value("cell_size", 1e-20), 1, "config error: not enough memory: Unable to allocate the grid"
+    ),
+    "grid_margin_past_an_array": (
+        _evaluation_value("margin_cells", 10**18), 1, "not enough memory: Unable to allocate the grid of 2e+18"
+    ),
+    "trajectory_past_an_array": (
+        _set("dataset", "synth", "sample_spacing_m", value=1e-20), 1,
+        "config error: not enough memory: Unable to allocate the trajectory",
+    ),
+    "area_past_an_array": (
+        _set("dataset", "synth", "area", value=[1e300, 40]), 1,
+        "config error: not enough memory: Unable to allocate the trajectory",
+    ),
+    "survey_past_an_array": (
+        _set("dataset", "synth", "n_aps", value=10**18), 1,
+        "config error: not enough memory: Unable to allocate the survey",
+    ),
+    "autoencoder_layer_past_an_array": (
+        _compressors({"kind": "distance_ae", "train": {"hidden_dim": 10**18}}), 1,
+        "config error: not enough memory: Unable to allocate an autoencoder layer of 1e+18 x 12 doubles",
+    ),
     "nan_lambda_d": (_ae_train_value("lambda_d", float("nan")), 1, "lambda_d must be finite"),
     "negative_lambda_r": (_ae_train_value("lambda_r", -1), 1, "config error: lambda_r must be >= 0, got -1"),
     "infinite_learning_rate": (
@@ -672,7 +696,7 @@ FAILURES = {
     ),
     "nonpositive_length_scale": (
         _edit_pipeline("input", lambda p: p["hyperparams"].update(length_scale=0.0)), 2,
-        "pipeline_input.json: length_scale must be > 0",
+        "pipeline_input.json: length_scale must be >= 1e-150",
     ),
     "pca_mean_short": (
         _edit_pipeline("pca4", lambda p: p["compressor"]["model"]["mean"].pop()), 2,
@@ -852,3 +876,84 @@ def test_module_entry_point_prints_no_warning():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "compare" in proc.stdout
+
+
+def a8_config(out_dir, compressors):
+    """A8's survey, GP grid, evaluation and ae_train settings (tests/test_acceptance.py)."""
+    return {
+        "seed": 5,
+        "output_dir": str(out_dir),
+        "dataset": {"synth": {"area": [60, 40], "n_aps": 12, "shadowing_std_dbm": 3.0,
+                              "shadowing_correlation_length_m": 1.0, "sample_spacing_m": 2.0}},
+        "split": {"test_fraction": 0.25, "mode": "random"},
+        "gp_grid": {"length_scales": [5, 10], "signal_variances": [0.5, 1.0], "noise_variances": [0.05, 0.1]},
+        "evaluation": {"cell_size": 2.0, "sigma_m": 10.0},
+        "ae_train": {"latent_dim": 4, "hidden_dim": 10, "epochs": 40, "batch_size": 16},
+        "compressors": compressors,
+    }
+
+
+# Rows that cannot run in a test, with the reason.
+_EXTREME_SKIPS = {
+    "ae_train.epochs=1000000000000000000":
+        "A8's 16 training rows at batch_size 16 hold none out, so training never stops early",
+}
+
+
+def _extreme_rows():
+    """(config path, value) for every config number at its extremes.
+
+    The numeric fields of each config dataclass, read with fields(): a
+    float at 1e-300 and 1e300, and at -1e300 where it has no lower bound;
+    an int at 10**18. A GP hyperparameter is set as a one-value gp_grid axis.
+    """
+    sections = [
+        (("dataset", "synth"), dsm.SynthEnvConfig, ""),
+        (("evaluation",), ex.EvaluationSpec, ""),
+        (("gp_grid",), gp_map.GpHyperparams, "s"),
+        (("ae_train",), ae.TrainConfig, ""),
+    ]
+    rows = []
+    for path, cls, suffix in sections:
+        for f in dataclasses.fields(cls):
+            if f.type == "int" and f.name != "seed":  # no train section sets a seed
+                rows.append((path + (f.name + suffix,), 10**18))
+            elif f.type == "float":
+                values = [1e-300, 1e300] + ([] if {"gt", "ge"} & set(f.metadata) else [-1e300])
+                rows += [(path + (f.name + suffix,), value) for value in values]
+    rows += [(("seed",), 10**18), (("split", "test_fraction"), 1e-300), (("split", "test_fraction"), 1e300)]
+    params = []
+    for path, value in rows:
+        row_id = f"{'.'.join(path[-2:])}={value}"
+        skip = [pytest.mark.skip(reason=_EXTREME_SKIPS[row_id])] if row_id in _EXTREME_SKIPS else []
+        params.append(pytest.param(path, value, id=row_id, marks=skip))
+    return params
+
+
+@pytest.mark.parametrize("path,value", _extreme_rows())
+def test_config_number_at_an_extreme(path, value, tmp_path, capsys):
+    """train then evaluate exit 0-3 with at most one stderr line and leave no
+    non-finite CSV cell, whatever number a config field holds."""
+    out = tmp_path / "out"
+    doc = a8_config(out, [{"kind": "distance_ae"}] if path[0] == "ae_train" else [{"kind": "identity"}])
+    section = doc
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = [value] if path[0] == "gp_grid" else value
+    cfg = write_config(tmp_path, doc)
+    for command in ("train", "evaluate"):
+        capsys.readouterr()
+        code = cli.main([command, "--config", cfg])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3) and len(err.splitlines()) <= 1, err
+        assert "Traceback" not in err
+        if code:
+            break
+    for csv in out.glob("*.csv"):
+        for line in csv.read_text().splitlines()[1:]:
+            for cell in line.split(","):
+                try:
+                    number = float(cell)
+                except ValueError:
+                    continue
+                assert np.isfinite(number), f"{csv.name}: {line}"

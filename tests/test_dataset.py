@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rss_atlas import dataset as dsm
-from rss_atlas.errors import ConfigError, DataError
+from rss_atlas.errors import ConfigError, DataError, NumericalError
 from rss_atlas.gp_map import _sq_dists
 
 
@@ -155,6 +155,15 @@ class TestWriteCsv:
         dsm.write_csv(path, ["index", "x", "y", "kl", "argmax_error_m"], rows)
         assert written == [(path, want)]
 
+    @pytest.mark.parametrize("bad", [math.nan, np.float64(-math.inf)], ids=["nan", "-inf"])
+    def test_non_finite_cell_is_refused_before_the_target_is_touched(self, tmp_path, bad):
+        path = tmp_path / "summary.csv"
+        path.write_text("label,mean_kl\ninput,1.5\n")
+        with pytest.raises(NumericalError, match=f"summary.csv: non-finite value {float(bad)} in column mean_kl"):
+            dsm.write_csv(path, ["label", "mean_kl"], [["pca4", 0.5], ["input", bad]])
+        assert path.read_text() == "label,mean_kl\ninput,1.5\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]
+
 
 class TestLoadCsvFuzz:
     """Any file gives a dataset or a DataError, never another exception."""
@@ -299,6 +308,13 @@ class TestSynthesize:
         path = tmp_path / "survey.csv"
         dsm.save_csv(ds, path)
         assert np.array_equal(dsm.load_csv(path).Z, ds.Z)
+
+    def test_ap_draw_of_a_one_sample_survey_is_size_checked(self):
+        # 7e17 APs x 2 coordinates are past what an array can index, though
+        # 1 sample x 7e17 readings are not.
+        cfg = dsm.SynthEnvConfig(waypoints=((10.0, 10.0),), n_aps=7 * 10**17)
+        with pytest.raises(MemoryError, match=r"Unable to allocate the survey of 2 x 7e\+17 doubles"):
+            dsm.synthesize(cfg, seed=0)
 
     def test_floor_below_thermal_noise_rejected(self):
         # load_csv refuses such readings, so train must not write them.

@@ -147,7 +147,8 @@ _REQUIRED = {
 # The accepted value is the bound itself where the bound is closed.
 _BOUND_ROWS = [
     (gp_map.GpHyperparams, "signal_variance", 0.0, 1e-12, "signal_variance must be > 0, got 0.0"),
-    (gp_map.GpHyperparams, "length_scale", 0.0, 1e-12, "length_scale must be > 0, got 0.0"),
+    (gp_map.GpHyperparams, "length_scale", 0.0, 1e-150, "length_scale must be >= 1e-150, got 0.0"),
+    (gp_map.GpHyperparams, "length_scale", 1.01e150, 1e150, "length_scale must be <= 1e+150, got 1.01e+150"),
     (gp_map.GpHyperparams, "noise_variance", -1e-12, 0.0, "noise_variance must be >= 0, got -1e-12"),
     (ae.TrainConfig, "latent_dim", 0, 1, "latent_dim must be >= 1, got 0"),
     (ae.TrainConfig, "hidden_dim", 0, 1, "hidden_dim must be >= 1, got 0"),
@@ -165,12 +166,16 @@ _BOUND_ROWS = [
     (dsm.SynthEnvConfig, "path_loss_exponent", 6.001, 6.0, "synth.path_loss_exponent must be <= 6, got 6.001"),
     (dsm.SynthEnvConfig, "reference_distance_m", 0.0, 1e-12, "synth.reference_distance_m must be > 0, got 0.0"),
     (dsm.SynthEnvConfig, "shadowing_std_dbm", -1e-12, 0.0, "synth.shadowing_std_dbm must be >= 0, got -1e-12"),
-    (dsm.SynthEnvConfig, "shadowing_correlation_length_m", 0.0, 1e-12,
-     "synth.shadowing_correlation_length_m must be > 0, got 0.0"),
+    (dsm.SynthEnvConfig, "shadowing_correlation_length_m", 0.0, 1e-150,
+     "synth.shadowing_correlation_length_m must be >= 1e-150, got 0.0"),
+    (dsm.SynthEnvConfig, "shadowing_correlation_length_m", 1.01e150, 1e150,
+     "synth.shadowing_correlation_length_m must be <= 1e+150, got 1.01e+150"),
     (dsm.SynthEnvConfig, "floor_dbm", -174.001, -174.0, "synth.floor_dbm must be >= -174, got -174.001"),
     (dsm.SynthEnvConfig, "sample_spacing_m", 0.0, 1e-12, "synth.sample_spacing_m must be > 0, got 0.0"),
-    (ex.EvaluationSpec, "cell_size", 0.0, 1e-12, "evaluation.cell_size must be > 0, got 0.0"),
-    (ex.EvaluationSpec, "sigma_m", 0.0, 1e-12, "evaluation.sigma_m must be > 0, got 0.0"),
+    (ex.EvaluationSpec, "cell_size", 0.0, 1e-150, "evaluation.cell_size must be >= 1e-150, got 0.0"),
+    (ex.EvaluationSpec, "cell_size", 1.01e150, 1e150, "evaluation.cell_size must be <= 1e+150, got 1.01e+150"),
+    (ex.EvaluationSpec, "sigma_m", 0.0, 1e-150, "evaluation.sigma_m must be >= 1e-150, got 0.0"),
+    (ex.EvaluationSpec, "sigma_m", 1.01e150, 1e150, "evaluation.sigma_m must be <= 1e+150, got 1.01e+150"),
     (ex.EvaluationSpec, "margin_cells", -1, 0, "evaluation.margin_cells must be >= 0, got -1"),
     (ex.ExperimentConfig, "seed", -1, 0, "seed must be >= 0, got -1"),
     (ex.ExperimentConfig, "test_fraction", 0.0, 1e-12, "test_fraction must be > 0, got 0.0"),

@@ -676,30 +676,22 @@ class TestEvaluate:
         for i, fld in kept.rasters.items():
             assert np.array_equal(fld.mass, builder.field_for(test_norm.Z[i]).mass)
 
-    def test_holds_one_pipeline_at_a_time(self, eval_setup, monkeypatch):
-        # Each pipeline and its FieldBuilder are freed before the next
-        # pipeline is requested, so an on-demand iterable keeps one alive.
+    def test_holds_one_field_builder_at_a_time(self, eval_setup, monkeypatch):
+        # Each pipeline's FieldBuilder, its grid tables, is freed before the
+        # next pipeline's is built.
         pipe, test_norm, grid = eval_setup
-        builders, pipes, alive = [], [], []
+        builders, alive = [], []
         init = loc.FieldBuilder.__init__
 
         def recording_init(self, pipeline, grid):
+            alive.append([ref() is not None for ref in builders])
             init(self, pipeline, grid)
             builders.append(weakref.ref(self))
 
-        def load(k):
-            p = replace(pipe, label=f"p{k}")
-            pipes.append(weakref.ref(p))
-            return p
-
-        def on_demand():
-            for k in range(3):
-                alive.append([ref() is not None for ref in builders + pipes])
-                yield load(k)
-
         monkeypatch.setattr(loc.FieldBuilder, "__init__", recording_init)
-        results = loc.evaluate(on_demand(), test_norm, grid, sigma=10.0)
-        assert alive == [[], [False, False], [False, False, False, False]]
+        pipes = [replace(pipe, label=f"p{k}") for k in range(3)]
+        results = loc.evaluate(pipes, test_norm, grid, sigma=10.0)
+        assert alive == [[], [False], [False, False]]
         assert [r.label for r in results] == ["p0", "p1", "p2"]
         want = loc.evaluate([pipe], test_norm, grid, sigma=10.0)[0]
         for r in results:
