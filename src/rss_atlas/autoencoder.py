@@ -110,7 +110,7 @@ class TrainConfig:
     lambda_r: float = field(default=1e-4, metadata={"ge": 0})
     lambda_d: float = field(default=1e-3, metadata={"ge": 0})
     batch_size: int = field(default=64, metadata={"ge": 2})  # batch norm needs two rows
-    epochs: int = field(default=2000, metadata={"ge": 0})
+    epochs: int = field(default=2000, metadata={"ge": 0, "le": 1_000_000})
     learning_rate: float = field(default=1e-3, metadata={"gt": 0})
     dropout_rate: float = field(default=0.1, metadata={"ge": 0, "lt": 1})
     seed: int = field(default=0, metadata={"ge": 0})

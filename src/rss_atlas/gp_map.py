@@ -31,11 +31,12 @@ one product by that block's inverse. The right-hand sides are the rows of
 a C-order array, solved in place. So the package needs no LAPACK solve
 beyond numpy's, and loads one BLAS.
 
-Every prediction is `predict_rows`: the query points _ROWS = 256 at a
-time from row 0, one C-order row each in one reused _ROWS x n buffer, in
-which the kernel is formed and the solve runs in place. `predict_batch`
-and the grid precompute cut the same chunks, so they issue the same
-products on the same rows and agree bit for bit at any BLAS thread count.
+Every prediction is `predict_rows(model, k, sq_dists)`, returning k x d
+means and k variances: the query points _ROWS = 256 at a time from row 0,
+one C-order row each in one reused _ROWS x n buffer, in which the kernel
+is formed and the solve runs in place. `predict_batch` and the grid
+precompute cut the same chunks, so they issue the same products on the
+same rows and agree bit for bit at any BLAS thread count.
 """
 
 from __future__ import annotations
@@ -298,27 +299,25 @@ def predict_batch(model: GpModel, X_star: np.ndarray) -> tuple[np.ndarray, np.nd
     `predict_rows` with each chunk's squared distances from `_sq_dists`.
     """
     X_star = np.asarray(X_star, dtype=float)
-    k = X_star.shape[0]
-    means = np.empty((k, model.output_dim))
-    variances = predict_rows(
-        model, k, lambda start, stop, D: _sq_dists(X_star[start:stop], model.X_train, out=D), means
+    return predict_rows(
+        model, len(X_star), lambda start, stop, D: _sq_dists(X_star[start:stop], model.X_train, out=D)
     )
-    return means, variances
 
 
-def predict_rows(model: GpModel, k: int, sq_dists, means: np.ndarray) -> np.ndarray:
-    """Predict k query points _ROWS at a time; return their k variances.
+def predict_rows(model: GpModel, k: int, sq_dists) -> tuple[np.ndarray, np.ndarray]:
+    """Predict k query points _ROWS at a time: (k x d means, k variances).
 
-    The map's factor L, its block inverses and V = L^-1 Y are made first
-    and dropped on return. `sq_dists(start, stop, D)` writes the squared
-    distances of query points start..stop-1 to the training locations into
-    the C-order (stop - start) x n buffer D. D becomes the cross-kernel,
-    and the forward solve in place turns each row k* into S = L^-1 k*. The
-    means S^T V go into `means[start:stop]` (a C-order k x d table) by one
-    matrix product, and the variances are the prior minus |S|^2, clamped
-    at 1e-12 where rounding drives them lower.
+    The C-order means table is allocated first, then the map's factor L,
+    its block inverses and V = L^-1 Y, which are dropped on return.
+    `sq_dists(start, stop, D)` writes the squared distances of query points
+    start..stop-1 to the training locations into the C-order
+    (stop - start) x n buffer D. D becomes the cross-kernel, and the
+    forward solve in place turns each row k* into S = L^-1 k*. The means
+    S^T V go into their rows by one matrix product, and the variances are
+    the prior minus |S|^2, clamped at 1e-12 where rounding drives them lower.
     """
     hp = model.hyperparams
+    means = np.empty((k, model.output_dim))
     L = cholesky_factor(model)
     inverses = block_inverses(L)
     V = _whiten(L, inverses, model.Y)
@@ -339,7 +338,7 @@ def predict_rows(model: GpModel, k: int, sq_dists, means: np.ndarray) -> np.ndar
         v = np.sum(Kt, axis=1, out=variances[start:stop])
         np.subtract(prior, v, out=v)
         np.copyto(v, _VARIANCE_FLOOR, where=v < _VARIANCE_FLOOR)
-    return variances
+    return means, variances
 
 
 def log_marginal_likelihood(X: np.ndarray, Y: np.ndarray, hp: GpHyperparams) -> float:

@@ -155,7 +155,6 @@ class IdentityCompressor:
 class PcaCompressor:
     def __init__(self, model: pca_mod.PcaModel):
         self.model = model
-        self.input_dim = model.input_dim
         self.latent_dim = model.latent_dim
 
     def encode(self, Z: np.ndarray) -> np.ndarray:
@@ -165,7 +164,6 @@ class PcaCompressor:
 class AutoencoderCompressor:
     def __init__(self, params: ae.AutoencoderParams):
         self.params = params
-        self.input_dim = params.input_dim
         self.latent_dim = params.latent_dim
 
     def encode(self, Z: np.ndarray) -> np.ndarray:
@@ -210,8 +208,8 @@ class FieldBuilder:
     fields for many measurements reuses them. `gp_map.predict_rows`
     predicts the cells in x-major order, each chunk's squared distances
     added from two axis tables, dx^2 (width x n) and dy^2 (height x n), and
-    its means written straight into the means table; the squared means
-    are then summed a chunk at a time. (b - a)^2 rounds exactly as
+    returns the means and variances tables the builder keeps; the squared
+    means are then summed a chunk at a time. (b - a)^2 rounds exactly as
     (a - b)^2, so the tables equal predict_batch at cell_centers() bit for
     bit, and beyond them and the axis tables a builder holds only what
     `predict_rows` holds.
@@ -226,10 +224,11 @@ class FieldBuilder:
         dx2 *= dx2
         dy2 = ys[:, None] - gp.X_train[None, :, 1]
         dy2 *= dy2
-        self._means = np.empty((grid.n_cells, gp.output_dim))
+        # Allocated before predict_rows makes the factor, as the means table
+        # is: allocated after it, compare's peak RSS rose 0.4 MB (heap layout).
         self._mean_sq = np.empty(grid.n_cells)
-        self._variances = gp_map.predict_rows(
-            gp, grid.n_cells, partial(_cell_sq_dists, dx2, dy2), self._means
+        self._means, self._variances = gp_map.predict_rows(
+            gp, grid.n_cells, partial(_cell_sq_dists, dx2, dy2)
         )
         for start in range(0, grid.n_cells, gp_map._ROWS):
             means = self._means[start : start + gp_map._ROWS]

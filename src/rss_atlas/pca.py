@@ -61,10 +61,8 @@ def fit(Z: np.ndarray, c: int) -> PcaModel:
     comps = np.ascontiguousarray(V[:, order])
     vals = w[order]
     # Fixed sign: largest-magnitude entry of each component positive.
-    for j in range(c):
-        peak = np.argmax(np.abs(comps[:, j]))
-        if comps[peak, j] < 0:
-            comps[:, j] = -comps[:, j]
+    peaks = comps[np.argmax(np.abs(comps), axis=0), np.arange(c)]
+    comps *= np.where(peaks < 0, -1.0, 1.0)
     return PcaModel(mean=mean, components=comps, eigenvalues=vals)
 
 

@@ -289,8 +289,28 @@ class TestSynthesize:
             dsm.SynthEnvConfig(path_loss_exponent=7.0)
 
     def test_floor_above_tx_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as info:
             dsm.SynthEnvConfig(tx_power_dbm=-120.0)
+        assert str(info.value) == "synth.floor_dbm -100.0 must be below synth.tx_power_dbm -120.0"
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"area": (0.0, 5.0)}, "synth.area sides must be positive, got (0.0, 5.0)"),
+        ({"area": (5.0, -1.0)}, "synth.area sides must be positive, got (5.0, -1.0)"),
+        ({"floor_dbm": -60.0, "tx_power_dbm": -60.0},
+         "synth.floor_dbm -60.0 must be below synth.tx_power_dbm -60.0"),
+        ({"waypoints": ()}, "synth.waypoints must hold at least one waypoint, got ()"),
+        ({"area": (5.0,)}, "synth.area must be a pair of numbers, got (5.0,)"),
+        ({"waypoints": ((1.0, 2.0, 3.0),)}, "synth.waypoints must be a pair of numbers, got (1.0, 2.0, 3.0)"),
+        ({"area": (5.0, float("inf"))}, "synth.area must be finite, got inf"),
+        ({"waypoints": (("a", 2.0),)}, "synth.waypoints must be a number, got 'a'"),
+    ], ids=["area_zero", "area_negative", "floor_at_tx", "no_waypoints",
+            "area_not_a_pair", "waypoint_not_a_pair", "area_not_finite", "waypoint_not_a_number"])
+    def test_own_checks_name_the_values_at_fault(self, kwargs, message):
+        """Each check SynthEnvConfig makes beyond its fields' bounds names the
+        synth values at fault, as every bound message does."""
+        with pytest.raises(ConfigError) as info:
+            dsm.SynthEnvConfig(**kwargs)
+        assert str(info.value) == message
 
     def test_tx_power_above_0_dbm_rejected(self):
         # load_csv refuses readings above 0 dBm, so train must not write them.
@@ -415,6 +435,48 @@ class TestSplit:
         )
         with pytest.raises(DataError):
             dsm.split(ds3, 0.05, seed=0)
+
+
+def looped_trajectory_points(waypoints, spacing_m):
+    """trajectory_points as one interpolation per sample, in a Python loop."""
+    wp = np.asarray(waypoints, dtype=float)
+    if wp.shape[0] == 1:
+        return wp.copy()
+    seg = np.diff(wp, axis=0)
+    seg_len = np.hypot(seg[:, 0], seg[:, 1])
+    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
+    if cum[-1] == 0.0:
+        return wp[:1].copy()
+    targets = np.arange(0.0, cum[-1] + 1e-12, spacing_m)
+    pts = np.empty((targets.size, 2))
+    idx = np.minimum(np.searchsorted(cum, targets, side="right") - 1, len(seg_len) - 1)
+    for k, (s, i) in enumerate(zip(targets, idx)):
+        frac = (s - cum[i]) / seg_len[i] if seg_len[i] > 0 else 0.0
+        pts[k] = wp[i] + frac * seg[i]
+    return pts
+
+
+class TestTrajectoryPoints:
+    @pytest.mark.parametrize("waypoints", [
+        ((3.0, 4.0),),
+        ((2.5, 2.5), (2.5, 2.5), (2.5, 2.5)),
+        ((0.0, 0.0), (10.0, 0.0), (10.0, 0.0), (10.0, 7.3)),
+        ((0.0, 0.0), (0.0, 0.0), (6.1, 2.2)),
+        ((1.0, 1.0), (9.7, 1.0), (9.7, 1.0)),
+        ((0.0, 0.0), (12.0, 0.0), (12.0, 9.0), (0.3, 9.0)),
+        dsm.serpentine_waypoints((60.0, 40.0)),
+    ], ids=["single", "all_equal", "repeat_inside", "repeat_first", "repeat_last",
+            "three_segments", "serpentine"])
+    @pytest.mark.parametrize("spacing", [0.1, 0.7, 1.0, 1.55, 3.0, 100.0])
+    def test_equals_the_per_sample_loop(self, waypoints, spacing):
+        got = dsm.trajectory_points(waypoints, spacing)
+        want = looped_trajectory_points(waypoints, spacing)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_spacing_that_divides_the_path_ends_on_its_last_waypoint(self):
+        pts = dsm.trajectory_points(((0.0, 0.0), (12.0, 0.0), (12.0, 9.0)), 3.0)
+        assert pts.shape == (8, 2) and pts[-1].tolist() == [12.0, 9.0]
 
 
 class TestSurveyDataset:

@@ -156,6 +156,7 @@ _BOUND_ROWS = [
     (ae.TrainConfig, "lambda_d", -1e-12, 0.0, "lambda_d must be >= 0, got -1e-12"),
     (ae.TrainConfig, "batch_size", 1, 2, "batch_size must be >= 2, got 1"),
     (ae.TrainConfig, "epochs", -1, 0, "epochs must be >= 0, got -1"),
+    (ae.TrainConfig, "epochs", 1_000_001, 1_000_000, "epochs must be <= 1e+06, got 1000001"),
     (ae.TrainConfig, "learning_rate", 0.0, 1e-12, "learning_rate must be > 0, got 0.0"),
     (ae.TrainConfig, "dropout_rate", -1e-12, 0.0, "dropout_rate must be >= 0, got -1e-12"),
     (ae.TrainConfig, "dropout_rate", 1.0, 0.999, "dropout_rate must be < 1, got 1.0"),

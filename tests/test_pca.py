@@ -72,6 +72,22 @@ class TestFit:
             comp = model.components[:, j]
             assert comp[np.argmax(np.abs(comp))] > 0
 
+    def test_signs_equal_the_per_component_loop(self, rng):
+        """The components equal eigh's, negated one column at a time where the
+        largest-magnitude entry is negative, bit for bit."""
+        flipped = 0
+        for _ in range(5):
+            Z = rng.normal(size=(30, 6))
+            centered = Z - Z.mean(axis=0)
+            w, V = np.linalg.eigh((centered.T @ centered) / 29)
+            want = np.ascontiguousarray(V[:, np.argsort(-w, kind="stable")[:4]])
+            for j in range(4):
+                if want[np.argmax(np.abs(want[:, j])), j] < 0:
+                    want[:, j] = -want[:, j]
+                    flipped += 1
+            assert pca.fit(Z, 4).components.tobytes() == want.tobytes()
+        assert flipped > 0
+
     def test_c_out_of_range(self, rng):
         Z = rng.normal(size=(10, 3))
         with pytest.raises(ConfigError):
